@@ -5,7 +5,7 @@
 //   ./build/example_wire_replay record t.trace --clients 3 --messages 12
 //   ./build/example_wire_replay serve --unix /tmp/s.sock --clients 3
 //        --expect-submits 36 [--threads] [--shards 2] [--json out.json]
-//        [--transport threads|epoll] [--pollers M]
+//        [--pollers M]
 //   ./build/example_wire_replay replay t.trace --unix /tmp/s.sock --speed 2
 //   ./build/example_wire_replay blast --unix /tmp/s.sock --client 0
 //        --messages 10000 [--connections N]
@@ -163,9 +163,7 @@ struct Args {
   bool threads{false};
   std::uint32_t shards{1};
   std::string json;
-  /// serve: reader model — "threads" (one blocking reader per
-  /// connection) or "epoll" (M-poller event loop).
-  std::string transport{"threads"};
+  /// serve: poller threads of the front-end's event loop.
   std::uint32_t pollers{2};
   /// blast: sockets driven round-robin by ONE process (--client is the
   /// base id; connection i announces client base+i). Multiplying
@@ -204,7 +202,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       else if (flag == "--client") args.client = static_cast<std::uint32_t>(std::atoi(value));
       else if (flag == "--shards") args.shards = static_cast<std::uint32_t>(std::atoi(value));
       else if (flag == "--json") args.json = value;
-      else if (flag == "--transport") args.transport = value;
       else if (flag == "--pollers") args.pollers = static_cast<std::uint32_t>(std::atoi(value));
       else if (flag == "--connections") args.connections = static_cast<std::uint32_t>(std::atoi(value));
       else {
@@ -265,15 +262,7 @@ int run_serve(const Args& args) {
   // Real wall-clock arrivals: serve mode is the load-bench half, not the
   // equivalence half (replay against a modeled clock is the demo's job).
   net::ServerConfig server_config;
-  const bool epoll = args.transport == "epoll";
-  if (epoll) {
-    server_config.frontend.transport = net::TransportMode::kEventLoop;
-    server_config.frontend.poller_threads = args.pollers;
-  } else if (args.transport != "threads") {
-    std::fprintf(stderr, "unknown --transport '%s' (threads|epoll)\n",
-                 args.transport.c_str());
-    return 2;
-  }
+  server_config.frontend.poller_threads = args.pollers;
   net::FrameServer server(registry, service, server_config);
   bool listening = false;
   if (!args.unix_path.empty()) {
@@ -340,11 +329,10 @@ int run_serve(const Args& args) {
       return 1;
     }
     // google-benchmark-shaped entry so bench_multiproc.sh can merge it
-    // into BENCH_throughput.json and CI can track the family. The epoll
-    // transport reports its own family (same measurement, different
-    // reader model), so both columns are tracked side by side.
-    const char* family =
-        epoll ? "MP_EpollServerIngest" : "MP_UnixServerIngest";
+    // into BENCH_throughput.json and CI can track the family. The script
+    // names each row's family when it merges (one process per client vs
+    // one process holding every connection).
+    const char* family = "MP_ServerIngest";
     std::fprintf(
         out,
         "{\n"
@@ -361,7 +349,7 @@ int run_serve(const Args& args) {
         "  ]\n"
         "}\n",
         std::thread::hardware_concurrency(), args.threads ? 1 : 0,
-        args.shards, epoll ? args.pollers : 0, family, args.clients,
+        args.shards, args.pollers, family, args.clients,
         static_cast<unsigned long long>(args.expect_submits), family,
         args.clients, static_cast<unsigned long long>(args.expect_submits),
         ingest_seconds * 1e3, ingest_seconds * 1e3, items_per_second,

@@ -3,13 +3,14 @@
 # protocol at ONE FrameServer process-half over a Unix-domain socket, and
 # the measured ingest rate is merged into the tracked benchmark JSON —
 # the first benchmarks in the repo whose numbers cross a real kernel
-# socket boundary instead of a function call. Two families:
+# socket boundary instead of a function call. Every row runs the same
+# event-loop (M-poller epoll) front-end; the rows differ in how the load
+# arrives, and the merge names each row's family:
 #
-#   MP_UnixServerIngest   thread-per-connection readers, one blast
-#                         process per client
-#   MP_EpollServerIngest  event-loop (M-poller epoll) front-end at high
-#                         connection counts (C=100 and C=1000), driven by
-#                         one blast process holding C sockets round-robin
+#   MP_UnixServerIngest   one blast process per client (C = MP_CLIENTS)
+#   MP_EpollServerIngest  high connection counts (C=100 and C=1000),
+#                         driven by one blast process holding C sockets
+#                         round-robin
 #
 # The merge REPLACES any existing MP_* entries in the target JSON and
 # leaves every other family untouched, so the tracked artifact is
@@ -29,7 +30,7 @@
 #   MP_MESSAGES    messages per client         (default 50000)
 #   MP_THREADS     1 = threaded service        (default 0)
 #   MP_SHARDS      shard count                 (default 1)
-#   MP_POLLERS     epoll poller threads        (default 2; a single
+#   MP_POLLERS     poller threads, every row   (default 2; a single
 #                  sequential service serializes ingest behind one lock,
 #                  so more pollers only add contention)
 #   MP_EPOLL_MESSAGES  per-connection messages for the C=100 epoll row
@@ -97,10 +98,11 @@ SERVER_PID=""
 # against deleted temp paths.
 trap '[[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null; rm -f "$SOCK" "$OUT" "$OUT_E100" "$OUT_E1K"' EXIT
 
-# ── Row 1: thread-per-connection, one blast process per client ──────────
+# ── Row 1: one blast process per client ──────────────────────────────────
 EXPECT=$((CLIENTS * MESSAGES))
 SERVE_ARGS=(serve --unix "$SOCK" --clients "$CLIENTS"
-            --expect-submits "$EXPECT" --shards "$SHARDS" --json "$OUT")
+            --expect-submits "$EXPECT" --shards "$SHARDS"
+            --pollers "$POLLERS" --json "$OUT")
 if [[ "$THREADS" == "1" ]]; then SERVE_ARGS+=(--threads); fi
 
 "$BIN" "${SERVE_ARGS[@]}" &
@@ -115,9 +117,9 @@ for pid in "${CLIENT_PIDS[@]}"; do wait "$pid"; done
 wait "$SERVER_PID"
 SERVER_PID=""
 
-# ── Rows 2+3: epoll front-end at C=100 and C=1000 connections ───────────
-# One blast process drives all C sockets round-robin; the server runs the
-# event-loop transport with $POLLERS poller threads.
+# ── Rows 2+3: C=100 and C=1000 connections ──────────────────────────────
+# One blast process drives all C sockets round-robin; the server runs
+# $POLLERS poller threads.
 run_epoll_row() {
   local connections="$1" per_conn="$2" out="$3"
   local sock expect
@@ -125,7 +127,7 @@ run_epoll_row() {
   expect=$((connections * per_conn))
   "$BIN" serve --unix "$sock" --clients "$connections" \
       --expect-submits "$expect" --shards "$SHARDS" \
-      --transport epoll --pollers "$POLLERS" --json "$out" &
+      --pollers "$POLLERS" --json "$out" &
   SERVER_PID=$!
   "$BIN" blast --unix "$sock" --client 0 --connections "$connections" \
       --messages "$per_conn"
@@ -138,16 +140,24 @@ run_epoll_row 100 "$EPOLL_MESSAGES" "$OUT_E100"
 run_epoll_row 1000 $((EPOLL_MESSAGES / 10 > 0 ? EPOLL_MESSAGES / 10 : 1)) "$OUT_E1K"
 
 # Merge: replace MP_* entries in the target (creating it with the first
-# run's context if absent), keep everything else.
-python3 - "$TARGET" "$OUT" "$OUT_E100" "$OUT_E1K" <<'EOF'
+# run's context if absent), keep everything else. Each run is passed as
+# FAMILY=PATH: the server writes one family name, and the merge renames
+# the row to the family its load shape belongs to.
+python3 - "$TARGET" "MP_UnixServerIngest=$OUT" \
+    "MP_EpollServerIngest=$OUT_E100" "MP_EpollServerIngest=$OUT_E1K" <<'EOF'
 import json
 import sys
 
-target_path, run_paths = sys.argv[1], sys.argv[2:]
+target_path, run_args = sys.argv[1], sys.argv[2:]
 runs = []
-for path in run_paths:
+for arg in run_args:
+    family, path = arg.split("=", 1)
     with open(path) as f:
-        runs.append(json.load(f))
+        run = json.load(f)
+    for b in run["benchmarks"]:
+        for key in ("name", "run_name"):
+            b[key] = family + "/" + b[key].split("/", 1)[1]
+    runs.append(run)
 try:
     with open(target_path) as f:
         target = json.load(f)

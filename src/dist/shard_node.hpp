@@ -17,7 +17,7 @@
 //    poll schedule) exactly as in-process.
 //  * Every pump appends one SafeTimeAnnounce carrying the post-drain
 //    next_safe_time read under the SAME lock acquisition as the poll
-//    (FrameFrontend::pump_into's next_safe_after out-param) — the
+//    (PumpOptions::next_safe_after on FrameFrontend::pump) — the
 //    frontier the merge gates on is never stale relative to the batches
 //    that precede it on the FIFO uplink.
 //  * OrderedBatch ranks are the service's own dense per-shard ranks, so

@@ -130,7 +130,7 @@ bool StreamAcceptor::start(int listen_fd) {
   // Nonblocking listen fd: a connection poll() reported can be gone by
   // the time accept() runs (peer RST in the backlog); a blocking accept
   // would then wedge the loop past stop()'s wake byte. Accepted fds do
-  // NOT inherit the flag (readers rely on blocking reads).
+  // NOT inherit the flag (FdByteStream sets its own mode).
   const int flags = ::fcntl(listen_fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(listen_fd, F_SETFL, flags | O_NONBLOCK) != 0) {
     const int saved = errno;
@@ -167,7 +167,7 @@ void StreamAcceptor::accept_loop() {
       if (errno == EMFILE || errno == ENFILE) {
         // fd exhaustion: the pending connection stays in the backlog, so
         // level-triggered poll() would re-fire instantly — back off
-        // briefly to let reader teardown free descriptors instead of
+        // briefly to let connection teardown free descriptors instead of
         // spinning a core.
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         continue;
@@ -243,8 +243,8 @@ bool FrameServer::listen_unix(const std::string& path) {
 
 void FrameServer::stop() {
   acceptor_.stop();
-  // Connections last: a reader mid-dispatch finishes its current frame,
-  // then sees its shutdown stream and exits; stop() joins them all.
+  // Connections last: each leaves its poller only once any callback in
+  // flight has returned, then its stream is shut down.
   frontend_.stop();
 }
 

@@ -8,8 +8,8 @@
 //    and the key router.
 //  * `FrameServer` composes a StreamAcceptor with an embedded
 //    FrameFrontend: every accepted stream becomes a protocol connection
-//    (reader thread, handshake, session) — the real server remote client
-//    processes connect to.
+//    (poller registration, handshake, session) — the real server remote
+//    client processes connect to.
 //
 //   listen fd ──► accept thread ──► make_fd_stream ──► on_stream(...)
 //                                                       (FrameServer:
@@ -20,8 +20,8 @@
 // accept — it writes the wake byte, joins the accept thread, closes the
 // listening socket (and unlinks a Unix socket path). stop() is
 // idempotent and runs from the destructor. FrameServer::stop()
-// additionally stops the front-end (shutting every connection stream
-// down and joining every reader).
+// additionally stops the front-end (unhooking every connection from its
+// poller and shutting its stream down).
 //
 // Connection lifetime is the front-end's EofPolicy (ServerConfig defaults
 // it to kRemove: a peer that stops sending is reaped, its id recycled);
@@ -169,8 +169,8 @@ class FrameServer {
   [[nodiscard]] bool running() const { return acceptor_.running(); }
 
   /// Stops accepting (joins the accept thread, closes the listening
-  /// socket, unlinks a Unix path) and stops the front-end (shuts every
-  /// connection down, joins every reader). Idempotent.
+  /// socket, unlinks a Unix path) and stops the front-end (unhooks and
+  /// shuts down every connection). Idempotent.
   void stop();
 
   /// Blocks until at least `n` connections have been accepted over the

@@ -3,8 +3,8 @@
 // WireMessage (net/messages.hpp). The decoder is incremental — it accepts
 // bytes in whatever chunks the transport delivers (partial frames,
 // several frames coalesced into one read, single-byte trickles) and
-// yields complete payloads as they materialize, so a reader thread can
-// hand it raw recv() buffers directly.
+// yields complete payloads as they materialize, so a reader can hand it
+// raw recv() buffers directly.
 //
 // Malformedness is typed, not crashy: a length prefix above the
 // configured cap poisons the decoder (`error()`), because after a bogus

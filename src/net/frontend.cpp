@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <thread>
 
 #include "common/check.hpp"
@@ -57,81 +55,6 @@ std::unique_lock<std::mutex> lock_ingest_bounded(std::mutex& mutex) {
   return lock;
 }
 
-// ── In-process pipe ─────────────────────────────────────────────────────
-
-/// One direction of the pipe: an unbounded byte queue with blocking
-/// reads. `closed` means the writer half-closed (reads drain, then EOF)
-/// or the stream was shut down (writes also fail).
-struct PipeDir {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::uint8_t> bytes;
-  bool closed{false};
-};
-
-class PipeEndpoint final : public ByteStream {
- public:
-  PipeEndpoint(std::shared_ptr<PipeDir> in, std::shared_ptr<PipeDir> out)
-      : in_(std::move(in)), out_(std::move(out)) {}
-
-  std::optional<std::size_t> read_some(std::span<std::uint8_t> out) override {
-    std::unique_lock<std::mutex> lock(in_->mutex);
-    in_->cv.wait(lock, [this] { return !in_->bytes.empty() || in_->closed; });
-    if (in_->bytes.empty()) return 0;  // closed and drained: EOF
-    return take_locked(out);
-  }
-
-  IoResult try_read(std::span<std::uint8_t> out) override {
-    std::lock_guard<std::mutex> lock(in_->mutex);
-    if (in_->bytes.empty()) {
-      return IoResult{in_->closed ? IoStatus::kEof : IoStatus::kWouldBlock, 0};
-    }
-    return IoResult{IoStatus::kOk, take_locked(out)};
-  }
-
-  IoResult try_write(std::span<const std::uint8_t> bytes) override {
-    // The pipe's buffer is unbounded, so the blocking write never
-    // blocks either — one implementation serves both contracts.
-    return write_all(bytes) ? IoResult{IoStatus::kOk, bytes.size()}
-                            : IoResult{IoStatus::kError, 0};
-  }
-
-  bool write_all(std::span<const std::uint8_t> bytes) override {
-    std::lock_guard<std::mutex> lock(out_->mutex);
-    if (out_->closed) return false;
-    out_->bytes.insert(out_->bytes.end(), bytes.begin(), bytes.end());
-    out_->cv.notify_all();
-    return true;
-  }
-
-  void close_write() override { close_dir(*out_); }
-
-  void shutdown() override {
-    close_dir(*in_);
-    close_dir(*out_);
-  }
-
- private:
-  static void close_dir(PipeDir& dir) {
-    std::lock_guard<std::mutex> lock(dir.mutex);
-    dir.closed = true;
-    dir.cv.notify_all();
-  }
-
-  /// in_->mutex held.
-  std::size_t take_locked(std::span<std::uint8_t> out) {
-    const std::size_t n = std::min(out.size(), in_->bytes.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = in_->bytes.front();
-      in_->bytes.pop_front();
-    }
-    return n;
-  }
-
-  std::shared_ptr<PipeDir> in_;
-  std::shared_ptr<PipeDir> out_;
-};
-
 // ── POSIX fd stream ─────────────────────────────────────────────────────
 
 class FdByteStream final : public ByteStream {
@@ -140,7 +63,7 @@ class FdByteStream final : public ByteStream {
     TOMMY_EXPECTS(fd >= 0);
     // The fd is ALWAYS nonblocking: the try_* contract needs it, and the
     // blocking contract is emulated with poll(2) below — one fd mode
-    // serves both, so the same stream can be handed to either transport.
+    // serves both the event loop and blocking client-side callers.
     const int flags = ::fcntl(fd_, F_GETFL, 0);
     if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
   }
@@ -235,14 +158,6 @@ class FdByteStream final : public ByteStream {
 }  // namespace
 
 std::pair<std::shared_ptr<ByteStream>, std::shared_ptr<ByteStream>>
-make_pipe_pair() {
-  auto a_to_b = std::make_shared<PipeDir>();
-  auto b_to_a = std::make_shared<PipeDir>();
-  return {std::make_shared<PipeEndpoint>(b_to_a, a_to_b),
-          std::make_shared<PipeEndpoint>(a_to_b, b_to_a)};
-}
-
-std::pair<std::shared_ptr<ByteStream>, std::shared_ptr<ByteStream>>
 make_socketpair_streams() {
   int fds[2];
   TOMMY_EXPECTS(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
@@ -289,57 +204,9 @@ Connection::Connection(core::ClientRegistry& registry,
       ingest_mutex_(ingest_mutex),
       decoder_(config_.max_frame_bytes) {}
 
-bool Connection::on_bytes(std::span<const std::uint8_t> bytes) {
-  if (failed()) return false;
-  decoder_.append(bytes);
-  while (auto payload = decoder_.next()) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    auto message = decode(*payload);
-    if (!message) return fail(WireError::kMalformedMessage);
-    if (!dispatch(std::move(*message))) return false;
-  }
-  if (decoder_.error() != FrameError::kNone) {
-    return fail(WireError::kOversizedFrame);
-  }
-  apply_pending();
-  return true;
-}
-
 void Connection::mark_failed(WireError error) {
   WireError expected = WireError::kNone;
   error_.compare_exchange_strong(expected, error, std::memory_order_relaxed);
-}
-
-bool Connection::dispatch(WireMessage&& message) {
-  if (const auto* announcement =
-          std::get_if<DistributionAnnouncement>(&message)) {
-    return handle_announcement(*announcement);
-  }
-  if (!handshaken()) return fail(WireError::kHandshakeExpected);
-
-  if (const auto* msg = std::get_if<TimestampedMessage>(&message)) {
-    if (msg->client != client_) return fail(WireError::kClientMismatch);
-    pending_.push_back(core::Submission{msg->local_stamp, msg->id,
-                                        config_.arrival_clock(message)});
-    submits_in_.fetch_add(1, std::memory_order_relaxed);
-    if (pending_.size() >= config_.submit_batch_limit) apply_pending();
-    return true;
-  }
-  if (const auto* heartbeat = std::get_if<Heartbeat>(&message)) {
-    if (heartbeat->client != client_) return fail(WireError::kClientMismatch);
-    // Apply buffered submits first so the session sees per-connection
-    // FIFO order.
-    apply_pending();
-    const TimePoint now = config_.arrival_clock(message);
-    std::unique_lock<std::mutex> lock;
-    if (ingest_mutex_ != nullptr) {
-      lock = std::unique_lock<std::mutex>(*ingest_mutex_);
-    }
-    session_.heartbeat(heartbeat->local_stamp, now);
-    heartbeats_in_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return fail(WireError::kBatchFromClient);
 }
 
 bool Connection::handle_announcement(
@@ -553,8 +420,7 @@ Connection::DriveStatus Connection::drive() {
     fail(WireError::kOversizedFrame);
     return DriveStatus::kFailed;
   }
-  // End of buffered frames: flush the batch remainder, exactly where
-  // on_bytes applies its trailing apply_pending.
+  // End of buffered frames: flush the batch remainder.
   return try_apply_pending() ? DriveStatus::kReady : DriveStatus::kStalled;
 }
 
@@ -582,8 +448,8 @@ std::uint64_t FrameFrontend::add_connection(
     std::shared_ptr<ByteStream> stream) {
   TOMMY_EXPECTS(stream != nullptr);
   reap();
-  // Threaded services serialize nothing up front: each reader (thread or
-  // poller callback) is its session ring's single producer. Sequential
+  // Threaded services serialize nothing up front: each connection's
+  // poller thread is its session ring's single producer. Sequential
   // services get all ingest and polls serialized behind ingest_mutex_.
   std::mutex* ingest_mutex = service_.threaded() ? nullptr : &ingest_mutex_;
   std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -601,64 +467,11 @@ std::uint64_t FrameFrontend::add_connection(
                                      config_, ingest_mutex);
   conns_.emplace(id, conn);
   retired_.accepted++;  // folded into totals() as "ever adopted"
-  if (config_.transport == TransportMode::kEventLoop) {
-    // Registers with a poller thread (conns_mutex_ held: poller threads
-    // never take it, so there is no lock cycle, and a concurrent stop()
-    // cannot unlink the connection before it is armed).
-    attach_to_loop(conn);
-  } else {
-    Conn& ref = *conn;
-    ref.reader = std::thread([this, &ref] { reader_loop(ref); });
-  }
+  // Registers with a poller thread (conns_mutex_ held: poller threads
+  // never take it, so there is no lock cycle, and a concurrent stop()
+  // cannot unlink the connection before it is armed).
+  attach_to_loop(conn);
   return id;
-}
-
-void FrameFrontend::reader_loop(Conn& conn) {
-  std::vector<std::uint8_t> buffer(config_.read_chunk_bytes);
-  bool protocol_ok = true;
-  while (true) {
-    const auto n = conn.stream->read_some(buffer);
-    if (!n) {
-      conn.machine.mark_failed(WireError::kStreamError);
-      protocol_ok = false;
-      break;
-    }
-    if (*n == 0) {  // EOF: peer finished cleanly
-      conn.clean_eof.store(true, std::memory_order_relaxed);
-      if (config_.retire_on_eof) conn.machine.on_peer_eof();
-      break;
-    }
-    conn.bytes_in.fetch_add(*n, std::memory_order_relaxed);
-    conn.last_activity.store(wall_clock_now().seconds(),
-                             std::memory_order_relaxed);
-    const bool ok = conn.machine.on_bytes({buffer.data(), *n});
-    // Reconfig responses the machine queued while dispatching (a failed
-    // machine queues nothing further, but what it queued still goes out).
-    flush_outbound(conn);
-    if (!ok) {
-      protocol_ok = false;
-      break;
-    }
-  }
-  // On failure, tear the transport down so the peer is not left writing
-  // into a connection nobody reads.
-  if (!protocol_ok) conn.stream->shutdown();
-  conn.done.store(true, std::memory_order_release);
-}
-
-void FrameFrontend::flush_outbound(Conn& conn) {
-  for (const auto& frame : conn.machine.take_outbound()) {
-    std::lock_guard<std::mutex> write_lock(conn.write_mutex);
-    if (!conn.write_ok.load(std::memory_order_relaxed)) return;
-    if (conn.stream->write_all(frame)) {
-      conn.frames_out.fetch_add(1, std::memory_order_relaxed);
-      conn.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
-      conn.last_activity.store(wall_clock_now().seconds(),
-                               std::memory_order_relaxed);
-    } else {
-      conn.write_ok.store(false, std::memory_order_release);
-    }
-  }
 }
 
 bool FrameFrontend::reapable(const Conn& conn) const {
@@ -684,8 +497,8 @@ FrontendTotals FrameFrontend::counters_of(const Conn& conn) {
 FrameFrontend::Retiring FrameFrontend::unlink_locked(
     std::shared_ptr<Conn> conn) {
   // Fold a snapshot the instant the connection leaves the table, so a
-  // concurrent totals() never sees the counters dip while the reader is
-  // being joined; retire() adds the residual later.
+  // concurrent totals() never sees the counters dip while the connection
+  // is being unhooked; retire() adds the residual later.
   Retiring retiring;
   retiring.snapshot = counters_of(*conn);
   retiring.conn = std::move(conn);
@@ -701,24 +514,19 @@ FrameFrontend::Retiring FrameFrontend::unlink_locked(
 }
 
 void FrameFrontend::retire(std::vector<Retiring>&& removed) {
-  // Event-mode connections leave their poller first: remove_sync
-  // barriers on the dispatch lock, so after it returns no callback
-  // touches the connection. (retire() only ever runs on external
-  // threads — reap/close/stop — never on a poller thread, which would
-  // deadlock that barrier.)
+  // Connections leave their poller first: remove_sync barriers on the
+  // dispatch lock, so after it returns no callback touches the
+  // connection. (retire() only ever runs on external threads —
+  // reap/close/stop — never on a poller thread, which would deadlock
+  // that barrier.)
   for (const auto& r : removed) {
     if (r.conn->in_loop) {
       event_loop_->remove_sync(r.conn->loop_key);
       r.conn->in_loop = false;
     }
   }
-  for (const auto& r : removed) r.conn->stream->shutdown();
   for (const auto& r : removed) {
-    std::lock_guard<std::mutex> join_lock(r.conn->join_mutex);
-    if (r.conn->reader.joinable()) r.conn->reader.join();
-  }
-  if (removed.empty()) return;
-  for (const auto& r : removed) {
+    r.conn->stream->shutdown();
     // Serialize against an in-flight broadcast: its counter increments
     // happen under write_mutex, and the stream is already shut down, so
     // after this lock the counters are final. Fold only what the
@@ -741,10 +549,9 @@ void FrameFrontend::retire(std::vector<Retiring>&& removed) {
 std::size_t FrameFrontend::remove_if_locked(bool force) {
   // Phase 1 (under conns_mutex_): pull removable entries out of the
   // table, recycle their ids, and fold counter snapshots into retired_.
-  // Phase 2 (lock dropped): shut streams down and join readers — joins
-  // must never run under the table lock (the dying reader might be
-  // blocked in a broadcast writer's shadow, and accessors need the lock
-  // to stay responsive).
+  // Phase 2 (lock dropped): unhook from the pollers and shut streams
+  // down — the poller barrier must never run under the table lock
+  // (accessors need it to stay responsive).
   std::vector<Retiring> removed;
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -781,10 +588,12 @@ bool FrameFrontend::close_connection(std::uint64_t id) {
 
 void FrameFrontend::stop() { remove_if_locked(/*force=*/true); }
 
-std::size_t FrameFrontend::drain(TimePoint now, bool flush_all,
-                                 TimePoint* next_safe_after) {
+std::size_t FrameFrontend::pump(TimePoint now, const PumpOptions& options) {
+  if (options.sink != nullptr) {
+    return drain_locked(now, options, *options.sink);
+  }
   // Dead peers leave before the broadcast: a removed connection must
-  // neither receive frames nor stall a write.
+  // not receive frames.
   reap();
   auto broadcast = [this](core::EmissionRecord&& record, std::uint32_t) {
     BatchEmission wire;
@@ -794,45 +603,28 @@ std::size_t FrameFrontend::drain(TimePoint now, bool flush_all,
       wire.messages.push_back(m.id);
     }
     const auto frame = encode_frame(WireMessage(std::move(wire)));
-    // Snapshot, then write holding only the per-connection mutex: a peer
-    // that stopped reading can stall ITS write (until someone shuts its
-    // stream down), but must not wedge conns_mutex_ — add_connection,
-    // the accessors and the teardown path all need it. The shared_ptr
-    // snapshot keeps each Conn alive even if a concurrent reap drops it
-    // from the table mid-broadcast.
+    // Snapshot under conns_mutex_, then queue holding only each
+    // connection's write_mutex. The shared_ptr snapshot keeps each Conn
+    // alive even if a concurrent reap drops it from the table
+    // mid-broadcast.
     std::vector<std::shared_ptr<Conn>> targets;
     {
       std::lock_guard<std::mutex> lock(conns_mutex_);
       targets.reserve(conns_.size());
       for (auto& [id, conn] : conns_) targets.push_back(conn);
     }
-    for (const auto& conn : targets) {
-      if (config_.transport == TransportMode::kEventLoop) {
-        // Bounded egress: what cannot be written now queues (up to the
-        // cap, then the egress policy applies) and drains on the next
-        // writability edge — a slow subscriber never stalls the pump.
-        queue_egress(*conn, frame);
-        continue;
-      }
-      std::lock_guard<std::mutex> write_lock(conn->write_mutex);
-      if (!conn->write_ok.load(std::memory_order_relaxed)) continue;
-      if (conn->stream->write_all(frame)) {
-        conn->frames_out.fetch_add(1, std::memory_order_relaxed);
-        conn->bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
-        conn->last_activity.store(wall_clock_now().seconds(),
-                                  std::memory_order_relaxed);
-      } else {
-        conn->write_ok.store(false, std::memory_order_release);
-      }
-    }
+    // Bounded egress: what cannot be written now queues (up to the cap,
+    // then the egress policy applies) and drains on the next writability
+    // edge — a slow subscriber never stalls the pump.
+    for (const auto& conn : targets) queue_egress(*conn, frame);
   };
   core::CallbackSink<decltype(broadcast)> sink(broadcast);
-  return drain_locked(now, flush_all, sink, next_safe_after);
+  return drain_locked(now, options, sink);
 }
 
-std::size_t FrameFrontend::drain_locked(TimePoint now, bool flush_all,
-                                        core::EmissionSink& sink,
-                                        TimePoint* next_safe_after) {
+std::size_t FrameFrontend::drain_locked(TimePoint now,
+                                        const PumpOptions& options,
+                                        core::EmissionSink& sink) {
   std::unique_lock<std::mutex> lock;
   if (!service_.threaded()) lock = std::unique_lock<std::mutex>(ingest_mutex_);
   // Liveness for reconfigs nobody retries (a handshaken client's mutated
@@ -842,21 +634,15 @@ std::size_t FrameFrontend::drain_locked(TimePoint now, bool flush_all,
     service_.try_install_reconfig();
   }
   const std::size_t emitted =
-      flush_all ? service_.flush(now, sink) : service_.poll(now, sink);
-  if (next_safe_after != nullptr) *next_safe_after = service_.next_safe_time();
+      options.flush ? service_.flush(now, sink) : service_.poll(now, sink);
+  if (options.next_safe_after != nullptr) {
+    *options.next_safe_after = service_.next_safe_time();
+  }
   return emitted;
 }
 
-std::size_t FrameFrontend::pump(TimePoint now, const PumpOptions& options) {
-  if (options.sink == nullptr) {
-    return drain(now, options.flush, options.next_safe_after);
-  }
-  return drain_locked(now, options.flush, *options.sink,
-                      options.next_safe_after);
-}
-
 void FrameFrontend::reconfigure() {
-  // Readers block on the ingest lock for the duration of the swap in
+  // Pollers stall on the ingest lock for the duration of the swap in
   // sequential mode — exactly the serialization the sequential service
   // requires. The primer thread never touches this lock, so the
   // blocking join inside service_.reconfigure() cannot deadlock.
@@ -871,20 +657,12 @@ void FrameFrontend::join_readers() {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     for (auto& [id, conn] : conns_) conns.push_back(conn);
   }
+  // Wait until the poller marked each connection done (EOF reached AND
+  // every retained frame applied — finish_eof orders the done store
+  // after the last service call).
   for (const auto& conn : conns) {
-    // join_mutex: a concurrent reap may be joining this same reader.
-    std::lock_guard<std::mutex> join_lock(conn->join_mutex);
-    if (conn->reader.joinable()) conn->reader.join();
-  }
-  // Event-mode "join": wait until the poller marked each connection
-  // done (EOF reached AND every retained frame applied — finish_eof
-  // orders the done store after the last service call, exactly the
-  // all-applied guarantee the thread join gives).
-  if (config_.transport == TransportMode::kEventLoop) {
-    for (const auto& conn : conns) {
-      while (!conn->done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
+    while (!conn->done.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
 }

@@ -8,14 +8,15 @@
 //
 // Layering (docs/architecture.md "Wire front-end"):
 //
-//   ByteStream ──► reader thread ──► FrameDecoder ──► Connection
-//        ▲                                               │ session
-//        │            encoded BatchEmission frames       ▼
+//   ByteStream ──► EventLoop poller ──► FrameDecoder ──► Connection
+//        ▲          (readable edge)                          │ session
+//        │        bounded egress, encoded BatchEmission      ▼
 //   peer ◀──────────── pump(now) broadcast ◀──── FairOrderingService
 //
-//  * `ByteStream` abstracts the byte source/sink: an in-process pipe for
-//    tests and simulations (deterministic, no sockets) and a POSIX
-//    fd-backed implementation for socketpairs/TCP (the example).
+//  * `ByteStream` abstracts the byte source/sink. The one implementation
+//    in the library is fd-backed (socketpairs, TCP, Unix sockets); it
+//    serves both the nonblocking readiness contract the front-end drives
+//    and the blocking contract client-side helpers use.
 //  * `Connection` is the per-peer protocol state machine, thread-free and
 //    testable in isolation: it runs the handshake (first frame must be a
 //    DistributionAnnouncement; the client must be expected, the registry
@@ -23,11 +24,13 @@
 //    Heartbeat frames into the service session, batching runs of submits
 //    through the relaxed batch path. Every protocol violation is a typed
 //    WireError, never a crash.
-//  * `FrameFrontend` owns one reader thread per connection (the thread is
-//    the session's single SPSC producer in threaded mode — exactly the
-//    shape the ROADMAP called for) plus the outbound writer path:
-//    `pump(now)` polls the service and broadcasts each emitted batch as
-//    one BatchEmission frame to every live connection.
+//  * `FrameFrontend` registers every adopted stream with an epoll
+//    EventLoop of M poller threads (poller_frontend.cpp). A connection's
+//    callbacks all run on one poller thread, which is therefore the
+//    session's single SPSC producer in threaded mode. The outbound half
+//    is `pump(now)`: it polls the service and queues each emitted batch
+//    as one BatchEmission frame on every live connection's bounded
+//    egress, flushed on writability edges.
 //
 // Arrival stamping: wire messages carry the client's local stamp but not
 // the sequencer-clock arrival (`now`) the online machinery needs; the
@@ -36,11 +39,11 @@
 // tests and simulations install a deterministic function of the message
 // so a frame-driven run is bit-identical to a direct-drive run.
 //
-// Concurrency: with a threaded service, readers are lock-free producers
+// Concurrency: with a threaded service, pollers are lock-free producers
 // onto their session rings and need no front-end serialization. With a
 // sequential service, the front-end serializes all ingest and polls
-// behind one mutex (the readers still take the blocking reads off the
-// caller's thread; they just apply one at a time).
+// behind one mutex; a poller that cannot take it within a bounded spin
+// stops reading that socket and retries on a tick (backpressure).
 #pragma once
 
 #include <atomic>
@@ -87,15 +90,14 @@ struct IoResult {
 /// writer (full-duplex); they need not support multiple readers.
 ///
 /// Two contracts share this interface:
-///  * the blocking contract (read_some / write_all) — what the
-///    thread-per-connection reader model and all client-side helpers
-///    drive;
+///  * the blocking contract (read_some / write_all) — what client-side
+///    helpers drive: dial/perform_handshake clients, the MergeNode and
+///    MergeSubscriber readers, ShardNode uplinks and RelaySet splices;
 ///  * the nonblocking readiness contract (try_read / try_write +
-///    poll_fd) — what the event-driven front-end drives. try_* never
+///    poll_fd) — what FrameFrontend's event loop drives. try_* never
 ///    block: they do at most one kernel I/O and report kWouldBlock when
 ///    the fd has nothing to give/take. poll_fd() exposes the fd a
-///    Poller can wait on; streams with no fd (in-process pipes) return
-///    -1 and are not event-loop capable.
+///    Poller waits on.
 class ByteStream {
  public:
   virtual ~ByteStream() = default;
@@ -112,26 +114,18 @@ class ByteStream {
       = 0;
 
   /// Nonblocking read: at most one kernel read. kOk means bytes > 0 were
-  /// placed in `out`; kWouldBlock means nothing available now. Streams
-  /// that only implement the blocking contract return kError (they must
-  /// not be handed to an event loop).
-  [[nodiscard]] virtual IoResult try_read(std::span<std::uint8_t> out) {
-    (void)out;
-    return IoResult{IoStatus::kError, 0};
-  }
+  /// placed in `out`; kWouldBlock means nothing available now.
+  [[nodiscard]] virtual IoResult try_read(std::span<std::uint8_t> out) = 0;
 
   /// Nonblocking write: at most one kernel write; partial writes are
   /// normal (bytes says how much left the buffer). kWouldBlock means the
   /// socket send buffer is full — retry on the next writability edge.
   [[nodiscard]] virtual IoResult try_write(
-      std::span<const std::uint8_t> bytes) {
-    (void)bytes;
-    return IoResult{IoStatus::kError, 0};
-  }
+      std::span<const std::uint8_t> bytes) = 0;
 
-  /// The pollable fd behind this stream, or -1 when there is none (the
-  /// stream then only supports the blocking contract).
-  [[nodiscard]] virtual int poll_fd() const { return -1; }
+  /// The pollable fd behind this stream, or -1 when there is none.
+  /// FrameFrontend fails a stream without one (WireError::kStreamError).
+  [[nodiscard]] virtual int poll_fd() const = 0;
 
   /// Half-close: ends this endpoint's outbound direction. The peer's
   /// reads drain what was written, then see EOF; this endpoint can still
@@ -144,18 +138,9 @@ class ByteStream {
   virtual void shutdown() = 0;
 };
 
-/// In-process full-duplex pipe (unbounded buffers, condition-variable
-/// blocking): two ByteStream endpoints for tests and simulations. Bytes
-/// written on one end come out of the other exactly as written, in
-/// whatever chunk sizes the reader asks for — so a test controls
-/// fragmentation and coalescing precisely by how it writes.
-[[nodiscard]] std::pair<std::shared_ptr<ByteStream>,
-                        std::shared_ptr<ByteStream>>
-make_pipe_pair();
-
-/// POSIX fd-backed pair over socketpair(AF_UNIX, SOCK_STREAM) — the real
-/// kernel transport for the end-to-end example (and any future TCP
-/// acceptor: FdByteStream works on any stream socket fd).
+/// POSIX fd-backed pair over socketpair(AF_UNIX, SOCK_STREAM): two
+/// connected in-process endpoints on a real kernel transport (tests,
+/// examples, simulations).
 [[nodiscard]] std::pair<std::shared_ptr<ByteStream>,
                         std::shared_ptr<ByteStream>>
 make_socketpair_streams();
@@ -200,27 +185,23 @@ enum class EofPolicy : std::uint8_t {
   /// explicitly. In-process demos and the broadcast tests rely on this.
   kLinger,
   /// Server semantics: a peer that stops sending is gone — the
-  /// connection becomes reapable as soon as its reader exits, and the
-  /// next reap point (pump, add_connection, or an explicit reap()) tears
-  /// the stream down and recycles the id. FrameServer defaults to this.
+  /// connection becomes reapable as soon as its EOF has been applied,
+  /// and the next reap point (pump, add_connection, or an explicit
+  /// reap()) tears the stream down and recycles the id. FrameServer
+  /// defaults to this.
   kRemove,
 };
 
-/// How a FrameFrontend drives its adopted streams.
+/// How a FrameFrontend drives its adopted streams. There is one model.
 enum class TransportMode : std::uint8_t {
-  /// The historical model: one blocking reader thread per connection.
-  /// Compatibility mode — works on any ByteStream (including in-process
-  /// pipes) and stays the default.
-  kThreadPerConnection,
-  /// Event-driven model: M poller threads multiplex every connection
-  /// through an epoll-backed EventLoop, driving the nonblocking
-  /// readiness contract (try_read / try_write + poll_fd). Streams
-  /// handed to this mode must expose a pollable fd.
+  /// M poller threads multiplex every connection through an
+  /// epoll-backed EventLoop, driving the nonblocking readiness contract
+  /// (try_read / try_write + poll_fd).
   kEventLoop,
 };
 
-/// What the event-driven front-end does to a slow subscriber whose
-/// bounded egress queue overflows.
+/// What the front-end does to a slow subscriber whose bounded egress
+/// queue overflows.
 enum class EgressPolicy : std::uint8_t {
   /// Tear the connection down (write_ok drops; the next reap removes
   /// it). A subscriber that cannot keep up is disconnected rather than
@@ -241,7 +222,7 @@ struct FrontendConfig {
   std::function<TimePoint(const WireMessage&)> arrival_clock{};
   /// Frame payload cap (oversized frames poison the connection).
   std::size_t max_frame_bytes{kDefaultMaxFrameBytes};
-  /// Reader-thread read chunk size.
+  /// Bytes each try_read on a readable edge asks for.
   std::size_t read_chunk_bytes{4096};
   /// Submissions buffered per connection before a forced apply (runs of
   /// decoded submits apply through the relaxed batch path in chunks of at
@@ -265,28 +246,26 @@ struct FrontendConfig {
   /// of stalling until the silence timeout. Off by default — lingering
   /// subscribers and reconnecting soak clients must keep gating.
   bool retire_on_eof{false};
-  /// Reader model (see TransportMode). kEventLoop requires fd-backed
-  /// streams.
-  TransportMode transport{TransportMode::kThreadPerConnection};
-  /// Poller threads the kEventLoop transport runs (connections are
-  /// sharded across them round-robin; each connection's callbacks stay
-  /// on one thread). Ignored by kThreadPerConnection.
+  /// Reader model. It has a single value, kEventLoop (see TransportMode).
+  TransportMode transport{TransportMode::kEventLoop};
+  /// Poller threads the event loop runs (connections are sharded across
+  /// them round-robin; each connection's callbacks stay on one thread).
   std::size_t poller_threads{2};
-  /// Bound on a connection's queued outbound bytes (kEventLoop only):
-  /// broadcasts that cannot be written immediately queue up to this many
-  /// bytes before egress_policy applies.
+  /// Bound on a connection's queued outbound bytes: broadcasts that
+  /// cannot be written immediately queue up to this many bytes before
+  /// egress_policy applies.
   std::size_t egress_buffer_bytes{256 * 1024};
-  /// What happens when egress_buffer_bytes is exceeded (kEventLoop only).
+  /// What happens when egress_buffer_bytes is exceeded.
   EgressPolicy egress_policy{EgressPolicy::kDisconnect};
 };
 
-/// Options for the unified FrameFrontend::pump(now, options) entry point
-/// (the five historical pump*/pump*_into overloads forward here).
+/// Options for the FrameFrontend::pump(now, options) entry point
+/// (pump(now) and pump_flush(now) forward here).
 struct PumpOptions {
   /// Where emissions go. Null: broadcast — every emitted batch is
-  /// encoded once and written to every live connection (dead peers are
-  /// reaped first). Non-null: the caller consumes emissions in-process;
-  /// no broadcast, no reap.
+  /// encoded once and queued on every live connection's egress (dead
+  /// peers are reaped first). Non-null: the caller consumes emissions
+  /// in-process; no broadcast, no reap.
   core::EmissionSink* sink{nullptr};
   /// True runs the service's flush (shutdown drain, gates ignored)
   /// instead of poll.
@@ -300,23 +279,24 @@ struct PumpOptions {
 
 /// Point-in-time counters for one connection (connection_stats()).
 /// Counter updates are relaxed atomics: each value is exact once the
-/// connection's reader has exited, monotonic while it runs.
+/// connection is done, monotonic while it runs.
 struct ConnectionStats {
   std::uint64_t frames_in{0};
   std::uint64_t submits_in{0};
   std::uint64_t heartbeats_in{0};
   /// Outbound BatchEmission frames this connection was actually sent.
   std::uint64_t frames_out{0};
-  /// Outbound frames dropped by EgressPolicy::kDrop (kEventLoop only).
+  /// Outbound frames dropped by EgressPolicy::kDrop.
   std::uint64_t frames_dropped{0};
   std::uint64_t bytes_in{0};
   std::uint64_t bytes_out{0};
   /// Seconds (monotonic, process origin) of the last successful read or
   /// broadcast write; 0 until the first I/O.
   double last_activity{0.0};
-  /// Reader thread exited (EOF, transport error, or protocol failure).
+  /// Ingest finished: a clean EOF with every retained frame applied, a
+  /// transport error, or a protocol failure.
   bool done{false};
-  /// Reader saw a clean EOF (peer half-closed) rather than an error.
+  /// Ingest ended in a clean EOF (peer half-closed) rather than an error.
   bool clean_eof{false};
   WireError error{WireError::kNone};
 };
@@ -338,8 +318,8 @@ struct FrontendTotals {
 
 /// Per-peer protocol state machine: incremental frame decode, handshake,
 /// dispatch into a service session. Thread-free — feed it bytes in any
-/// chunking via on_bytes() and it applies complete frames as they
-/// materialize; FrameFrontend wraps it with a reader thread. The error
+/// chunking via drive() and it applies complete frames as they
+/// materialize; FrameFrontend drives it from a poller thread. The error
 /// state and counters are atomics so another thread may observe them
 /// while bytes flow.
 class Connection {
@@ -352,12 +332,7 @@ class Connection {
              core::FairOrderingService& service, FrontendConfig config,
              std::mutex* ingest_mutex = nullptr);
 
-  /// Feeds raw stream bytes; decodes and applies every frame that
-  /// completes. Returns false once the connection is failed (the caller
-  /// should stop feeding and tear the stream down).
-  bool on_bytes(std::span<const std::uint8_t> bytes);
-
-  /// Outcome of one nonblocking drive step (the event-loop ingest path).
+  /// Outcome of one drive step.
   enum class DriveStatus : std::uint8_t {
     /// Everything decoded so far has been applied (or enqueued, in
     /// threaded mode) — keep reading.
@@ -372,7 +347,7 @@ class Connection {
     kFailed,
   };
 
-  /// Nonblocking on_bytes: appends `bytes`, then dispatches complete
+  /// Feeds raw stream bytes: appends `bytes`, then dispatches complete
   /// frames without ever blocking on the service (bounded-time lock
   /// attempts aside — the handshake path still serializes, it is rare
   /// and short). Frames the service cannot absorb are retained
@@ -387,8 +362,8 @@ class Connection {
     return !stash_.has_value() && pending_.empty();
   }
 
-  /// External failure injection (the reader thread reports transport
-  /// errors here). No-op if already failed.
+  /// External failure injection (the poller reports transport errors
+  /// here). No-op if already failed.
   void mark_failed(WireError error);
 
   [[nodiscard]] bool failed() const {
@@ -415,18 +390,18 @@ class Connection {
   }
 
   /// Frames the machine wants written to the peer (ReconfigPending /
-  /// HandshakeAck, already frame-encoded), in order. Owned by the reader
+  /// HandshakeAck, already frame-encoded), in order. Owned by the driving
   /// thread: only it dispatches frames and only it may drain this.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> take_outbound() {
     return std::exchange(outbound_, {});
   }
   /// True while the peer has been told ReconfigPending and the machine is
-  /// waiting for its retry announce. Reader-thread state.
+  /// waiting for its retry announce. Driving-thread state.
   [[nodiscard]] bool reconfig_waiting() const { return reconfig_waiting_; }
 
   /// Clean-EOF hook (FrontendConfig::retire_on_eof): retires the
   /// handshaken client from its shard's completeness gate, after applying
-  /// everything the peer streamed. Called by the reader thread only.
+  /// everything the peer streamed. Called by the driving thread only.
   void on_peer_eof();
 
  private:
@@ -442,7 +417,6 @@ class Connection {
     kFail,
   };
 
-  bool dispatch(WireMessage&& message);
   /// Nonblocking dispatch: never blocks on the session ring or the
   /// sequential ingest lock (the handshake path excepted — rare,
   /// bounded).
@@ -470,8 +444,8 @@ class Connection {
   /// before any further decoding so per-connection FIFO order holds.
   /// Driver-thread state, like pending_.
   std::optional<WireMessage> stash_;
-  /// Encoded frames awaiting the reader thread's write-back
-  /// (take_outbound); reader-thread-only, no lock.
+  /// Encoded frames awaiting write-back (take_outbound); driving-thread
+  /// only, no lock.
   std::vector<std::vector<std::uint8_t>> outbound_;
   bool reconfig_waiting_{false};
 
@@ -482,9 +456,9 @@ class Connection {
   std::atomic<std::uint64_t> heartbeats_in_{0};
 };
 
-/// Socket-facing adapter over a FairOrderingService: one reader thread
-/// per adopted ByteStream feeding that connection's session, plus the
-/// outbound broadcast of emitted batches. See the file header.
+/// Socket-facing adapter over a FairOrderingService: an epoll event loop
+/// feeding each adopted ByteStream into that connection's session, plus
+/// the outbound broadcast of emitted batches. See the file header.
 class FrameFrontend {
  public:
   /// `registry` must be the registry `service` was built on (handshake
@@ -493,19 +467,20 @@ class FrameFrontend {
                 core::FairOrderingService& service,
                 FrontendConfig config = {});
 
-  /// Shuts every stream down and joins the readers.
+  /// Unhooks every connection from the loop and shuts its stream down.
   ~FrameFrontend();
 
   FrameFrontend(const FrameFrontend&) = delete;
   FrameFrontend& operator=(const FrameFrontend&) = delete;
 
-  /// Adopts `stream` and starts driving it: kThreadPerConnection spawns
-  /// its reader thread; kEventLoop registers its fd with a poller thread
-  /// (the stream must expose poll_fd() >= 0). Returns the connection
-  /// id used by the introspection accessors. Ids of removed connections
-  /// are recycled (smallest free id first), so a long-lived server's id
-  /// space stays as dense as its live connection set. Opportunistically
-  /// reaps dead connections first.
+  /// Adopts `stream` and starts driving it: its fd is registered with a
+  /// poller thread. A stream whose poll_fd() is negative cannot be
+  /// polled; it is adopted as a done connection failed with
+  /// WireError::kStreamError (the next reap removes it). Returns the
+  /// connection id used by the introspection accessors. Ids of removed
+  /// connections are recycled (smallest free id first), so a long-lived
+  /// server's id space stays as dense as its live connection set.
+  /// Opportunistically reaps dead connections first.
   ///
   /// Id lifetime is POSIX-fd-like: an id is valid until its connection
   /// is removed, after which it may name a DIFFERENT later connection.
@@ -520,17 +495,17 @@ class FrameFrontend {
   /// THE drain entry point: polls (or, with options.flush, flushes) the
   /// service at `now` under the sequential-mode ingest lock, with the
   /// staged-epoch install nudge. Null options.sink broadcasts every
-  /// emitted batch as an encoded BatchEmission frame to every connection
-  /// whose writes still succeed (reaping dead peers first, so a removed
-  /// peer never receives or stalls a broadcast); a non-null sink
-  /// consumes emissions in-process instead (no broadcast, no reap) —
-  /// race-free against live readers, which a direct service_.poll() is
-  /// NOT for sequential services. options.next_safe_after, when set,
-  /// receives the post-drain frontier read under the SAME lock
-  /// acquisition as the poll (no ingest can interleave — what a shard
-  /// node's SafeTimeAnnounce must carry). Returns the number of batches
-  /// emitted. One pump/flush at a time (callers serialize; the
-  /// service's own poll contract).
+  /// emitted batch as an encoded BatchEmission frame onto the bounded
+  /// egress of every connection whose writes still succeed (reaping dead
+  /// peers first, so a removed peer never receives a broadcast); a
+  /// non-null sink consumes emissions in-process instead (no broadcast,
+  /// no reap) — race-free against live pollers, which a direct
+  /// service_.poll() is NOT for sequential services.
+  /// options.next_safe_after, when set, receives the post-drain frontier
+  /// read under the SAME lock acquisition as the poll (no ingest can
+  /// interleave — what a shard node's SafeTimeAnnounce must carry).
+  /// Returns the number of batches emitted. One pump/flush at a time
+  /// (callers serialize; the service's own poll contract).
   std::size_t pump(TimePoint now, const PumpOptions& options);
 
   /// Broadcast poll: pump(now, {}). (Historical name, kept stable.)
@@ -543,87 +518,40 @@ class FrameFrontend {
     return pump(now, options);
   }
 
-  /// Deprecated spelling of pump(now, {.sink = &sink}); prefer the
-  /// PumpOptions entry point.
-  std::size_t pump_into(TimePoint now, core::EmissionSink& sink) {
-    PumpOptions options;
-    options.sink = &sink;
-    return pump(now, options);
-  }
-  template <typename F>
-    requires(!std::is_base_of_v<core::EmissionSink,
-                                std::remove_reference_t<F>>)
-  std::size_t pump_into(TimePoint now, F&& fn) {
-    core::CallbackSink<F> sink(fn);
-    return pump_into(now, static_cast<core::EmissionSink&>(sink));
-  }
-
-  /// Deprecated spelling of pump(now, {.sink = &sink, .flush = true}).
-  std::size_t pump_flush_into(TimePoint now, core::EmissionSink& sink) {
-    PumpOptions options;
-    options.sink = &sink;
-    options.flush = true;
-    return pump(now, options);
-  }
-  template <typename F>
-    requires(!std::is_base_of_v<core::EmissionSink,
-                                std::remove_reference_t<F>>)
-  std::size_t pump_flush_into(TimePoint now, F&& fn) {
-    core::CallbackSink<F> sink(fn);
-    return pump_flush_into(now, static_cast<core::EmissionSink&>(sink));
-  }
-
-  /// Deprecated next_safe_after spellings (see PumpOptions).
-  std::size_t pump_into(TimePoint now, core::EmissionSink& sink,
-                        TimePoint* next_safe_after) {
-    PumpOptions options;
-    options.sink = &sink;
-    options.next_safe_after = next_safe_after;
-    return pump(now, options);
-  }
-  std::size_t pump_flush_into(TimePoint now, core::EmissionSink& sink,
-                              TimePoint* next_safe_after) {
-    PumpOptions options;
-    options.sink = &sink;
-    options.flush = true;
-    options.next_safe_after = next_safe_after;
-    return pump(now, options);
-  }
-
   /// Drives any pending reconfiguration to completion (blocking —
   /// joins the primer) under the same serialization as the wire
   /// handlers. The safe way to force an epoch swap from outside while
-  /// reader threads are live; a direct service_.reconfigure() is only
-  /// safe against a threaded service.
+  /// connections are live; a direct service_.reconfigure() is only safe
+  /// against a threaded service.
   void reconfigure();
 
-  /// Removes every dead connection: reader exited AND (it failed, its
-  /// broadcast writes failed, or the EOF policy is kRemove). The stream
-  /// is shut down, the reader joined, the final counters folded into
+  /// Removes every dead connection: done AND (it failed, its broadcast
+  /// writes failed, or the EOF policy is kRemove). The connection leaves
+  /// its poller, the stream is shut down, the final counters folded into
   /// totals(), and the id recycled. Returns the number removed. Runs
   /// automatically at add_connection and pump; callers that neither add
   /// nor pump can call it directly.
   std::size_t reap();
 
-  /// Forcibly removes one connection: shuts the stream down (unblocking
-  /// its reader), joins the reader, folds its counters into totals(),
-  /// and recycles the id. False if the id is not registered — under
+  /// Forcibly removes one connection: unhooks it from its poller, shuts
+  /// the stream down, folds its counters into totals(), and recycles the
+  /// id. False if the id is not registered — under
   /// EofPolicy::kRemove a concurrent reap may win the race for any id
   /// the caller just looked up, so a missing id is an outcome, not an
   /// error.
   bool close_connection(std::uint64_t id);
 
-  /// Shuts every stream down, joins every reader, and removes every
-  /// connection regardless of policy. The front-end is reusable
+  /// Unhooks and shuts down every stream, and removes every connection
+  /// regardless of policy. The front-end is reusable
   /// afterwards (a fresh add_connection starts from a clean table). The
   /// destructor runs this.
   void stop();
 
-  /// Joins every reader thread without removing anything. Callers
-  /// arrange EOF first (peers close_write / streams shut down), otherwise
-  /// this blocks; after it returns, everything the peers sent has been
-  /// applied to the service (threaded mode: enqueued — a subsequent
-  /// poll/quiesce drains it).
+  /// Waits until every connection is done, without removing anything.
+  /// Callers arrange EOF first (peers close_write / streams shut down),
+  /// otherwise this blocks; after it returns, everything the peers sent
+  /// has been applied to the service (threaded mode: enqueued — a
+  /// subsequent poll/quiesce drains it).
   void join_readers();
 
   /// Live connections: registered, and not merely awaiting reap. (A
@@ -634,7 +562,7 @@ class FrameFrontend {
   /// number actually held in the table (the churn regression bound).
   [[nodiscard]] std::size_t tracked_connection_count() const;
   [[nodiscard]] bool has_connection(std::uint64_t id) const;
-  /// Reader-thread exit flag (EOF, error, or protocol failure).
+  /// ConnectionStats::done for one connection.
   [[nodiscard]] bool connection_done(std::uint64_t id) const;
   [[nodiscard]] WireError connection_error(std::uint64_t id) const;
   /// Point-in-time counters for a registered connection.
@@ -649,12 +577,6 @@ class FrameFrontend {
   struct Conn {
     std::shared_ptr<ByteStream> stream;
     Connection machine;
-    /// Serializes joins of `reader`: retire() (reap/close/stop paths)
-    /// and join_readers() can race on the same connection, and two
-    /// threads joining one std::thread is UB. Leaf lock — never held
-    /// while taking conns_mutex_ or write_mutex.
-    std::mutex join_mutex;
-    std::thread reader;
     std::atomic<bool> done{false};
     std::atomic<bool> clean_eof{false};
     std::atomic<std::uint64_t> bytes_in{0};
@@ -664,12 +586,11 @@ class FrameFrontend {
     std::atomic<double> last_activity{0.0};
     std::mutex write_mutex;
     /// Atomic, not mutex-guarded: reapable() and connection_count() read
-    /// it while holding conns_mutex_, and must never wait on a broadcast
-    /// stalled in write_all (which holds write_mutex). Writes happen
-    /// under write_mutex; the atomic store just publishes them.
+    /// it while holding conns_mutex_ and never take write_mutex there.
+    /// Writes happen under write_mutex; the atomic store publishes them.
     std::atomic<bool> write_ok{true};
 
-    // ── kEventLoop state ──────────────────────────────────────────────
+    // ── Event-loop state ──────────────────────────────────────────────
     /// EventLoop registration key; meaningful only when in_loop.
     std::uint64_t loop_key{0};
     bool in_loop{false};
@@ -696,29 +617,22 @@ class FrameFrontend {
 
   /// A connection pulled out of the table but not yet fully torn down.
   /// `snapshot` is what was already folded into retired_ at unlink time
-  /// — retire() adds only the residual the reader produced while dying,
-  /// so totals() never dips below its last observed value.
+  /// — retire() adds only the residual the poller produced before the
+  /// connection left it, so totals() never dips below its last observed
+  /// value.
   struct Retiring {
     std::shared_ptr<Conn> conn;
     FrontendTotals snapshot;
   };
 
-  void reader_loop(Conn& conn);
-  /// Writes the machine's queued ReconfigPending/HandshakeAck frames to
-  /// the peer (reader thread; shares write_mutex with broadcasts).
-  void flush_outbound(Conn& conn);
-  std::size_t drain(TimePoint now, bool flush_all,
-                    TimePoint* next_safe_after = nullptr);
-  /// The locked core shared by pump/pump_flush (broadcast sink) and
-  /// pump_into/pump_flush_into (caller sink): sequential-mode ingest
-  /// lock, staged-epoch install nudge, then one service drain. When
-  /// `next_safe_after` is non-null the post-drain next_safe_time is
-  /// read before the lock drops.
-  std::size_t drain_locked(TimePoint now, bool flush_all,
-                           core::EmissionSink& sink,
-                           TimePoint* next_safe_after = nullptr);
+  /// The locked core of pump, for the broadcast sink and a caller's
+  /// sink alike: sequential-mode ingest lock, staged-epoch install
+  /// nudge, then one service drain. options.next_safe_after, when set,
+  /// is read before the lock drops.
+  std::size_t drain_locked(TimePoint now, const PumpOptions& options,
+                           core::EmissionSink& sink);
 
-  // ── kEventLoop machinery (poller_frontend.cpp) ─────────────────────
+  // ── Event-loop machinery (poller_frontend.cpp) ─────────────────────
   /// Lazily creates the shared EventLoop and registers `conn`'s fd with
   /// a poller thread (round-robin). Fails the connection if the stream
   /// has no pollable fd.
@@ -741,11 +655,10 @@ class FrameFrontend {
   /// Writes queued egress until kWouldBlock or empty. write_mutex held
   /// by the caller.
   void flush_egress_locked(Conn& conn);
-  /// Event-mode counterpart of the reader-thread shutdown: marks done
-  /// and tears the transport down.
+  /// Marks a failed connection done and tears its transport down.
   void fail_loop_conn(Conn& conn);
-  /// True once `conn` can be removed (reader exited and nothing is left
-  /// to serve it). Lock-free on the connection itself — callers hold
+  /// True once `conn` can be removed (done, and nothing is left to serve
+  /// it). Lock-free on the connection itself — callers hold
   /// conns_mutex_, and this must never wait on a stalled broadcast.
   [[nodiscard]] bool reapable(const Conn& conn) const;
   /// Point-in-time counter sums of one connection.
@@ -753,9 +666,9 @@ class FrameFrontend {
   /// Accounts a connection leaving the table (conns_mutex_ held): folds
   /// a counter snapshot into retired_ and bumps the removed count.
   [[nodiscard]] Retiring unlink_locked(std::shared_ptr<Conn> conn);
-  /// Tears down + joins a batch of unlinked connections (outside
-  /// conns_mutex_ — joins must not hold the table lock) and folds the
-  /// counter residuals.
+  /// Unhooks and tears down a batch of unlinked connections (outside
+  /// conns_mutex_ — the poller barrier must not hold the table lock) and
+  /// folds the counter residuals.
   void retire(std::vector<Retiring>&& removed);
   std::size_t remove_if_locked(bool force);
 
@@ -775,9 +688,9 @@ class FrameFrontend {
   /// Counters of removed connections (guarded by conns_mutex_); totals()
   /// adds the live table on top.
   FrontendTotals retired_;
-  /// kEventLoop transport: the M poller threads (created lazily on the
-  /// first event-mode add_connection, shared by every connection, kept
-  /// across stop() so the front-end stays reusable). Guarded by
+  /// The M poller threads (created lazily on the first add_connection,
+  /// shared by every connection, kept across stop() so the front-end
+  /// stays reusable). Guarded by
   /// conns_mutex_ for creation; the pointer is stable afterwards.
   std::unique_ptr<EventLoop> event_loop_;
 };

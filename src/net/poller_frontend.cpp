@@ -1,7 +1,6 @@
-// FrameFrontend's event-driven transport (TransportMode::kEventLoop):
-// the poller-thread half of the front-end. frontend.cpp holds the
-// transport-independent machinery and the thread-per-connection reader;
-// this TU holds what runs on (or talks to) the EventLoop.
+// FrameFrontend's poller-thread half. frontend.cpp holds the protocol
+// machine, the fd stream, the connection table and the pump; this TU
+// holds what runs on (or talks to) the EventLoop.
 //
 // Per-connection flow, all on the connection's one poller thread:
 //
@@ -18,6 +17,8 @@
 //   writable edge ──► flush_egress: bounded per-connection queue the
 //                     broadcast pump fills; overflow applies the
 //                     configured EgressPolicy (disconnect or drop).
+//                     Runs while writes succeed, also after ingest is
+//                     done: a lingering subscriber still drains.
 #include <algorithm>
 #include <chrono>
 
@@ -28,7 +29,7 @@
 namespace tommy::net {
 
 // Defined in frontend.cpp — one shared clock origin per process, so
-// last_activity stamps agree across both transports.
+// last_activity stamps agree with the default arrival clock.
 TimePoint wall_clock_now();
 
 void FrameFrontend::attach_to_loop(const std::shared_ptr<Conn>& conn) {
@@ -36,8 +37,8 @@ void FrameFrontend::attach_to_loop(const std::shared_ptr<Conn>& conn) {
   // publishes loop_key/in_loop before any other thread can see the conn.
   const int fd = conn->stream->poll_fd();
   if (fd < 0) {
-    // Not event-loop capable (an in-process pipe): fail it typed rather
-    // than crash — the caller observes a done, failed connection.
+    // Nothing to poll: fail it typed rather than crash — the caller
+    // observes a done, failed connection.
     conn->machine.mark_failed(WireError::kStreamError);
     conn->done.store(true, std::memory_order_release);
     return;
@@ -63,13 +64,16 @@ void FrameFrontend::attach_to_loop(const std::shared_ptr<Conn>& conn) {
 void FrameFrontend::on_loop_event(const std::shared_ptr<Conn>& conn,
                                   bool readable, bool writable,
                                   bool hangup) {
-  if (conn->done.load(std::memory_order_acquire)) return;
+  // Egress first, and regardless of `done`: a peer that half-closed
+  // under EofPolicy::kLinger is done reading but still a subscriber,
+  // and frames queued behind its full socket drain only on these edges.
   if (writable) {
     std::lock_guard<std::mutex> write_lock(conn->write_mutex);
     if (conn->write_ok.load(std::memory_order_relaxed)) {
       flush_egress_locked(*conn);
     }
   }
+  if (conn->done.load(std::memory_order_acquire)) return;
   // While paused (service stalled) the socket is deliberately not read
   // — the pending tick owns resumption, and edge-triggered epoll will
   // not repeat this edge, which is exactly right: the bytes stay in the
@@ -110,9 +114,9 @@ void FrameFrontend::drain_readable(Conn& conn) {
     const IoResult r = conn.stream->try_read(conn.read_buffer);
     if (r.status == IoStatus::kWouldBlock) return;
     if (r.status == IoStatus::kError) {
-      // Same shape as the reader thread's transport-error exit. Nothing
-      // is retained here: reads only resume after a drive() returned
-      // kReady, so stash/pending are empty when an error surfaces.
+      // Nothing is retained here: reads only resume after a drive()
+      // returned kReady, so stash/pending are empty when an error
+      // surfaces.
       conn.machine.mark_failed(WireError::kStreamError);
       fail_loop_conn(conn);
       return;
@@ -159,7 +163,7 @@ void FrameFrontend::finish_eof(Conn& conn) {
 
 void FrameFrontend::fail_loop_conn(Conn& conn) {
   // Tear the transport down so the peer is not left writing into a
-  // connection nobody reads — the reader-thread exit does the same.
+  // connection nobody reads.
   conn.stream->shutdown();
   conn.done.store(true, std::memory_order_release);
 }

@@ -1,7 +1,7 @@
 // Unit coverage for the dist tier's moving parts in isolation — the
 // topology partition identity, the merge node's per-peer protocol state
 // machine (duplicates, gaps, epochs, the frontier gate), and the relay
-// splice — over in-process pipes; the end-to-end topology proof lives in
+// splice — over socketpairs; the end-to-end topology proof lives in
 // multinode_soak_test.cpp.
 #include <gtest/gtest.h>
 
@@ -33,7 +33,7 @@ using net::OrderedBatch;
 using net::SafeTimeAnnounce;
 using net::WireMessage;
 using net::encode_frame;
-using net::make_pipe_pair;
+using net::make_socketpair_streams;
 
 // ── Topology ────────────────────────────────────────────────────────────
 
@@ -101,7 +101,7 @@ struct MergeHarness {
 
   explicit MergeHarness(std::uint32_t nodes) : merge(nodes) {
     for (std::uint32_t n = 0; n < nodes; ++n) {
-      auto [node_end, merge_end] = make_pipe_pair();
+      auto [node_end, merge_end] = make_socketpair_streams();
       merge.attach(n, merge_end);
       uplinks.push_back(node_end);
     }
@@ -314,17 +314,17 @@ TEST(MergeNode, StrictGateHoldsRecordAtExactFrontier) {
   EXPECT_EQ(h.merge.held_count(), 0u);
 }
 
-// ── RelaySet (over in-process pipes) ────────────────────────────────────
+// ── RelaySet (over socketpairs) ─────────────────────────────────────────
 
 TEST(RelaySet, SplicesHandshakeAndTrafficBothWays) {
-  auto [relay_up_end, upstream_end] = make_pipe_pair();
+  auto [relay_up_end, upstream_end] = make_socketpair_streams();
   net::RelaySet relays(
       [&, up = relay_up_end](const DistributionAnnouncement& announcement)
           -> std::shared_ptr<ByteStream> {
         EXPECT_EQ(announcement.client, ClientId(2));
         return up;
       });
-  auto [client_end, relay_down_end] = make_pipe_pair();
+  auto [client_end, relay_down_end] = make_socketpair_streams();
   relays.adopt(relay_down_end);
 
   // Client writes its announce plus a coalesced message frame.
@@ -370,7 +370,7 @@ TEST(RelaySet, DropsDownstreamWhoseFirstFrameIsNotAnAnnouncement) {
     ADD_FAILURE() << "dial must not run without a handshake";
     return nullptr;
   });
-  auto [client_end, relay_down_end] = make_pipe_pair();
+  auto [client_end, relay_down_end] = make_socketpair_streams();
   relays.adopt(relay_down_end);
   ASSERT_TRUE(client_end->write_all(message_frame(1, 1, 1.0)));
   ASSERT_TRUE(eventually([&] { return relays.handshake_failures() == 1; }));
@@ -384,7 +384,7 @@ TEST(RelaySet, DropsDownstreamWhoseFirstFrameIsNotAnAnnouncement) {
 TEST(RelaySet, CountsDialFailuresAndDropsTheDownstream) {
   net::RelaySet relays([](const DistributionAnnouncement&)
                            -> std::shared_ptr<ByteStream> { return nullptr; });
-  auto [client_end, relay_down_end] = make_pipe_pair();
+  auto [client_end, relay_down_end] = make_socketpair_streams();
   relays.adopt(relay_down_end);
   ASSERT_TRUE(client_end->write_all(announce_frame(1)));
   ASSERT_TRUE(eventually([&] { return relays.dial_failures() == 1; }));
@@ -393,10 +393,10 @@ TEST(RelaySet, CountsDialFailuresAndDropsTheDownstream) {
 }
 
 TEST(RelaySet, UpstreamDeathTearsTheDownstreamDown) {
-  auto [relay_up_end, upstream_end] = make_pipe_pair();
+  auto [relay_up_end, upstream_end] = make_socketpair_streams();
   net::RelaySet relays(
       [up = relay_up_end](const DistributionAnnouncement&) { return up; });
-  auto [client_end, relay_down_end] = make_pipe_pair();
+  auto [client_end, relay_down_end] = make_socketpair_streams();
   relays.adopt(relay_down_end);
   ASSERT_TRUE(client_end->write_all(announce_frame(1)));
   // Wait until the splice is up (upstream saw the handshake), then kill
@@ -526,7 +526,7 @@ TEST(MergeNode, WatchdogFlagsStalledPeerAndTrafficClearsIt) {
   config.staleness_budget = std::chrono::milliseconds(25);
   config.watchdog_interval = std::chrono::milliseconds(2);
   MergeNode merge(1, config);
-  auto [node_end, merge_end] = net::make_pipe_pair();
+  auto [node_end, merge_end] = net::make_socketpair_streams();
   merge.attach(0, merge_end);
 
   // A connected-but-never-heard peer is not "stalled" — it has no

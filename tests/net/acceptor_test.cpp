@@ -180,7 +180,7 @@ TEST(FrameServer, TornHandshakeThenDropIsContainedAndReaped) {
     wire->shutdown();  // full close: reads AND writes die
   }
   ASSERT_TRUE(server.wait_for_accepted(1, 5000));
-  // The reader sees EOF mid-frame, the connection is reaped (kRemove),
+  // The poller sees EOF mid-frame, the connection is reaped (kRemove),
   // and nothing reached the service.
   ASSERT_TRUE(eventually([&server] {
     return server.frontend().connection_count() == 0;
@@ -278,7 +278,7 @@ TEST(FrameFrontendLifecycle, ChurnDoesNotGrowTheConnectionTable) {
 
   std::uint64_t max_id = 0;
   for (int cycle = 0; cycle < 100; ++cycle) {
-    auto [server_end, client_end] = make_pipe_pair();
+    auto [server_end, client_end] = make_socketpair_streams();
     const std::uint64_t id = frontend.add_connection(server_end);
     max_id = std::max(max_id, id);
     std::vector<std::uint8_t> bytes = announce_frame(0);
@@ -288,9 +288,9 @@ TEST(FrameFrontendLifecycle, ChurnDoesNotGrowTheConnectionTable) {
     bytes.insert(bytes.end(), frame.begin(), frame.end());
     ASSERT_TRUE(client_end->write_all(bytes));
     client_end->close_write();
-    // Wait out this cycle's reader so the next add_connection's reap
+    // Wait out this cycle's connection so the next add_connection's reap
     // deterministically recycles the id (live count drops to 0 as soon
-    // as the reader exits — kRemove makes EOF conns reap-ready).
+    // as its EOF is applied — kRemove makes EOF conns reap-ready).
     ASSERT_TRUE(eventually(
         [&frontend] { return frontend.connection_count() == 0; }));
   }
@@ -317,9 +317,9 @@ TEST(FrameFrontendLifecycle, IdsAreReusedSmallestFirst) {
   config.eof_policy = EofPolicy::kRemove;
   FrameFrontend frontend(registry, service, config);
 
-  auto [s0, c0] = make_pipe_pair();
-  auto [s1, c1] = make_pipe_pair();
-  auto [s2, c2] = make_pipe_pair();
+  auto [s0, c0] = make_socketpair_streams();
+  auto [s1, c1] = make_socketpair_streams();
+  auto [s2, c2] = make_socketpair_streams();
   EXPECT_EQ(frontend.add_connection(s0), 0u);
   EXPECT_EQ(frontend.add_connection(s1), 1u);
   EXPECT_EQ(frontend.add_connection(s2), 2u);
@@ -330,9 +330,9 @@ TEST(FrameFrontendLifecycle, IdsAreReusedSmallestFirst) {
   EXPECT_FALSE(frontend.close_connection(1));  // already gone: an outcome
   EXPECT_EQ(frontend.tracked_connection_count(), 2u);
 
-  auto [s3, c3] = make_pipe_pair();
+  auto [s3, c3] = make_socketpair_streams();
   EXPECT_EQ(frontend.add_connection(s3), 1u);  // recycled
-  auto [s4, c4] = make_pipe_pair();
+  auto [s4, c4] = make_socketpair_streams();
   EXPECT_EQ(frontend.add_connection(s4), 3u);  // fresh
   frontend.stop();
   EXPECT_EQ(frontend.tracked_connection_count(), 0u);
@@ -347,7 +347,7 @@ TEST(FrameFrontendLifecycle, StatsTrackTrafficAndSurviveIntoTotals) {
   FairOrderingService service(registry, ids(2), service_config);
   FrameFrontend frontend(registry, service, test_frontend_config());
 
-  auto [server_end, client_end] = make_pipe_pair();
+  auto [server_end, client_end] = make_socketpair_streams();
   const auto id = frontend.add_connection(server_end);
   std::vector<std::uint8_t> bytes = announce_frame(0);
   for (int k = 0; k < 5; ++k) {
@@ -395,7 +395,7 @@ TEST(FrameFrontendLifecycle, LingerKeepsServingUntilWritesFail) {
 
   // Connection A: sends one message, half-closes, lingers as a
   // subscriber. Connection B: stays to generate later traffic.
-  auto [server_a, client_a] = make_pipe_pair();
+  auto [server_a, client_a] = make_socketpair_streams();
   const auto id_a = frontend.add_connection(server_a);
   std::vector<std::uint8_t> bytes = announce_frame(0);
   const auto frame = message_frame(0, 1, 1.0);
@@ -405,7 +405,7 @@ TEST(FrameFrontendLifecycle, LingerKeepsServingUntilWritesFail) {
   ASSERT_TRUE(client_a->write_all(bytes));
   client_a->close_write();
 
-  auto [server_b, client_b] = make_pipe_pair();
+  auto [server_b, client_b] = make_socketpair_streams();
   frontend.add_connection(server_b);
   ASSERT_TRUE(client_b->write_all(announce_frame(1)));
 

@@ -12,12 +12,14 @@
 //    its bounded egress queue; the configured EgressPolicy fires (drop
 //    frames + count, or tear the subscriber down). A FaultyByteStream
 //    write cut mid-backpressure surfaces as a failed flush and the
-//    subscriber is reaped.
+//    subscriber is reaped. A lingering subscriber (half-closed, still
+//    served) drains its whole queue after a final flush.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -317,6 +319,65 @@ TEST(EgressBackpressure, SlowSubscriberOverflowDisconnectsUnderDefaultPolicy) {
   }));
   EXPECT_EQ(rig.frontend.connection_count(), 0u);
   EXPECT_EQ(rig.frontend.totals().removed, 1u);
+}
+
+/// Reads BatchEmission frames off `stream` until `expected` arrived or
+/// `timeout_ms` passed with the socket idle; returns how many arrived.
+std::size_t read_frames(ByteStream& stream, std::size_t expected,
+                        int timeout_ms) {
+  FrameDecoder decoder;
+  std::vector<std::uint8_t> buffer(4096);
+  std::size_t frames = 0;
+  auto deadline = std::chrono::steady_clock::now()
+                  + std::chrono::milliseconds(timeout_ms);
+  while (frames < expected && std::chrono::steady_clock::now() < deadline) {
+    const IoResult r = stream.try_read(buffer);
+    if (r.status == IoStatus::kWouldBlock) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    if (r.status != IoStatus::kOk) break;
+    decoder.append(std::span<const std::uint8_t>(buffer.data(), r.bytes));
+    while (decoder.next()) ++frames;
+    deadline = std::chrono::steady_clock::now()
+               + std::chrono::milliseconds(timeout_ms);
+  }
+  return frames;
+}
+
+TEST(EgressBackpressure, LingeringSubscriberDrainsItsQueueAfterAFinalFlush) {
+  // The subscriber half-closes: under EofPolicy::kLinger its connection
+  // is done reading but still owed every broadcast. One final flush
+  // queues far more frames than its tiny socket holds, and no later
+  // broadcast will come to push them out — the queue must drain on the
+  // writability edges its reads produce.
+  FrontendConfig config = event_config();
+  ASSERT_EQ(config.eof_policy, EofPolicy::kLinger);
+  config.egress_buffer_bytes = 4 * 1024 * 1024;
+  EgressRig rig(config);
+  rig.subscriber->close_write();
+  ASSERT_TRUE(eventually(
+      [&rig] { return rig.frontend.connection_stats(rig.id).done; }));
+
+  // Stamps 10 ms apart: every message is its own batch, so every one
+  // becomes its own BatchEmission frame.
+  constexpr std::size_t kBatches = 5000;
+  std::vector<core::Submission> spaced;
+  for (std::size_t k = 0; k < kBatches; ++k) {
+    const TimePoint stamp(1.0 + 0.01 * static_cast<double>(k));
+    spaced.push_back(core::Submission{stamp, MessageId(k), stamp + kWireDelay});
+  }
+  rig.session.submit_batch(std::span<const core::Submission>(spaced));
+  ASSERT_EQ(rig.frontend.pump_flush(TimePoint(1000.0)), kBatches);
+  // The socket took only a prefix; the rest waits in the egress queue.
+  ASSERT_LT(rig.frontend.connection_stats(rig.id).frames_out, kBatches);
+
+  EXPECT_EQ(read_frames(*rig.subscriber, kBatches, /*timeout_ms=*/2000),
+            kBatches);
+  EXPECT_TRUE(eventually([&rig] {
+    return rig.frontend.connection_stats(rig.id).frames_out == kBatches;
+  }));
+  EXPECT_TRUE(rig.frontend.has_connection(rig.id));
 }
 
 TEST(EgressBackpressure, WriteCutMidBackpressureTearsTheSubscriberDown) {

@@ -58,7 +58,7 @@ ThreeFrames three_frames() {
 }
 
 TEST(FaultyByteStream, DefaultPlanIsTransparent) {
-  auto [a, b] = make_pipe_pair();
+  auto [a, b] = make_socketpair_streams();
   FaultyByteStream faulty(b, FaultPlan{});
   const auto payload = bytes_iota(100);
   ASSERT_TRUE(a->write_all(payload));
@@ -69,7 +69,7 @@ TEST(FaultyByteStream, DefaultPlanIsTransparent) {
 }
 
 TEST(FaultyByteStream, ReadChunkScheduleIsHonouredExactly) {
-  auto [a, b] = make_pipe_pair();
+  auto [a, b] = make_socketpair_streams();
   FaultPlan plan;
   plan.read_chunks = {1, 2, 3};
   plan.read_chunks_cycle = true;
@@ -79,13 +79,13 @@ TEST(FaultyByteStream, ReadChunkScheduleIsHonouredExactly) {
   a->close_write();
   const auto [got, sizes] = drain(faulty);
   EXPECT_EQ(got, payload);
-  // The pipe has all 12 bytes buffered, so each read returns its full
+  // The socket has all 12 bytes buffered, so each read returns its full
   // cap: 1,2,3 cycling.
   EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 3, 1, 2, 3}));
 }
 
 TEST(FaultyByteStream, ExhaustedNonCyclingScheduleUncaps) {
-  auto [a, b] = make_pipe_pair();
+  auto [a, b] = make_socketpair_streams();
   FaultPlan plan;
   plan.read_chunks = {2};
   FaultyByteStream faulty(b, plan);
@@ -100,7 +100,7 @@ TEST(FaultyByteStream, ExhaustedNonCyclingScheduleUncaps) {
 }
 
 TEST(FaultyByteStream, ZeroChunkIsTreatedAsOne) {
-  auto [a, b] = make_pipe_pair();
+  auto [a, b] = make_socketpair_streams();
   FaultPlan plan;
   plan.read_chunks = {0};
   plan.read_chunks_cycle = true;
@@ -115,7 +115,7 @@ TEST(FaultyByteStream, ZeroChunkIsTreatedAsOne) {
 TEST(FaultyByteStream, EverySplitPointOnAThreeFrameStreamDecodes) {
   const ThreeFrames f = three_frames();
   for (std::size_t split = 0; split <= f.wire.size(); ++split) {
-    auto [a, b] = make_pipe_pair();
+    auto [a, b] = make_socketpair_streams();
     FaultPlan plan;
     if (split > 0) plan.read_chunks = {split};  // then uncapped
     FaultyByteStream faulty(b, plan);
@@ -140,7 +140,7 @@ TEST(FaultyByteStream, EverySplitPointOnAThreeFrameStreamDecodes) {
 TEST(FaultyByteStream, WriteSplitAtEverySplitPointIsContentNeutral) {
   const ThreeFrames f = three_frames();
   for (std::size_t split = 1; split <= f.wire.size(); ++split) {
-    auto [a, b] = make_pipe_pair();
+    auto [a, b] = make_socketpair_streams();
     FaultPlan plan;
     plan.write_chunks = {split};  // first inner write `split` bytes, rest
     FaultyByteStream faulty(a, plan);
@@ -157,10 +157,10 @@ TEST(FaultyByteStream, WriteSplitAtEverySplitPointIsContentNeutral) {
 TEST(FaultyByteStream, ReadCutAtEveryOffsetDeliversExactlyThePrefix) {
   const ThreeFrames f = three_frames();
   for (std::size_t cut = 0; cut <= f.wire.size(); ++cut) {
-    auto [a, b] = make_pipe_pair();
+    auto [a, b] = make_socketpair_streams();
     FaultPlan plan;
     plan.cut_read_after = cut;
-    plan.shutdown_inner_on_cut = false;  // pipe teardown not under test
+    plan.shutdown_inner_on_cut = false;  // socket teardown not under test
     FaultyByteStream faulty(b, plan);
     ASSERT_TRUE(a->write_all(f.wire));
     a->close_write();
@@ -192,7 +192,7 @@ TEST(FaultyByteStream, ReadCutAtEveryOffsetDeliversExactlyThePrefix) {
 }
 
 TEST(FaultyByteStream, ReadCutAsCleanEofSignalsZero) {
-  auto [a, b] = make_pipe_pair();
+  auto [a, b] = make_socketpair_streams();
   FaultPlan plan;
   plan.cut_read_after = 4;
   plan.cut_is_error = false;
@@ -214,7 +214,7 @@ TEST(FaultyByteStream, ReadCutAsCleanEofSignalsZero) {
 TEST(FaultyByteStream, WriteCutAtEveryOffsetTearsTheFrameExactlyThere) {
   const ThreeFrames f = three_frames();
   for (std::size_t cut = 0; cut <= f.wire.size(); ++cut) {
-    auto [a, b] = make_pipe_pair();
+    auto [a, b] = make_socketpair_streams();
     FaultPlan plan;
     plan.cut_write_after = cut;
     plan.shutdown_inner_on_cut = false;
@@ -233,7 +233,7 @@ TEST(FaultyByteStream, WriteCutAtEveryOffsetTearsTheFrameExactlyThere) {
 }
 
 TEST(FaultyByteStream, InjectedRetriesAreContentNeutralAndCounted) {
-  auto [a, b] = make_pipe_pair();
+  auto [a, b] = make_socketpair_streams();
   FaultPlan plan;
   plan.retry_every_reads = 2;
   plan.read_chunks = {3};
@@ -248,7 +248,7 @@ TEST(FaultyByteStream, InjectedRetriesAreContentNeutralAndCounted) {
 }
 
 TEST(FaultyByteStream, ChunkedHelperCapsEveryRead) {
-  auto [a, b] = make_pipe_pair();
+  auto [a, b] = make_socketpair_streams();
   auto chunked = make_chunked_stream(b, 2);
   ASSERT_TRUE(a->write_all(bytes_iota(9)));
   a->close_write();

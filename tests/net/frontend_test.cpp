@@ -1,9 +1,10 @@
-// Wire front-end: ByteStream pipes, the Connection handshake/dispatch
-// state machine (typed error paths, partial-read torture), the
-// frames-in == direct-session-calls-in equivalence (bit-identical
-// emission streams, sequential and threaded engines, deliberately
-// fragmented and coalesced reads), and the outbound BatchEmission
-// broadcast — including over a real socketpair.
+// Wire front-end: the fd stream's blocking contract, the Connection
+// handshake/dispatch state machine (typed error paths, partial-read
+// torture), the frames-in == direct-session-calls-in equivalence
+// (bit-identical emission streams, sequential and threaded engines,
+// deliberately fragmented and coalesced reads), the outbound
+// BatchEmission broadcast, and the adoption check on a stream with no
+// pollable fd.
 #include "net/frontend.hpp"
 
 #include <gtest/gtest.h>
@@ -193,7 +194,7 @@ std::vector<CapturedBatch> run_direct(
 }
 
 /// Frame run: the same workload encoded as wire frames, written through
-/// in-process pipes in random fragments (sometimes coalescing several
+/// socketpairs in random fragments (sometimes coalescing several
 /// frames into one write, sometimes splitting one frame across many).
 std::vector<CapturedBatch> run_framed(
     const std::vector<std::vector<Event>>& workload, ServiceConfig config,
@@ -209,7 +210,7 @@ std::vector<CapturedBatch> run_framed(
   std::vector<std::thread> writers;
   std::vector<std::shared_ptr<ByteStream>> client_ends;
   for (std::uint32_t c = 0; c < workload.size(); ++c) {
-    auto [server_end, client_end] = make_pipe_pair();
+    auto [server_end, client_end] = make_socketpair_streams();
     frontend.add_connection(server_end);
     client_ends.push_back(client_end);
 
@@ -257,10 +258,10 @@ std::vector<CapturedBatch> run_framed(
   return out;
 }
 
-// ── ByteStream pipes ────────────────────────────────────────────────────
+// ── The fd stream's blocking contract (what every client drives) ────────
 
-TEST(InProcessPipe, TransportsBytesAndSignalsEof) {
-  auto [a, b] = make_pipe_pair();
+TEST(FdByteStream, TransportsBytesAndSignalsEof) {
+  auto [a, b] = make_socketpair_streams();
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
   ASSERT_TRUE(a->write_all(payload));
   a->close_write();
@@ -278,8 +279,8 @@ TEST(InProcessPipe, TransportsBytesAndSignalsEof) {
   ASSERT_TRUE(b->write_all(payload));
 }
 
-TEST(InProcessPipe, ShutdownUnblocksAPendingRead) {
-  auto [a, b] = make_pipe_pair();
+TEST(FdByteStream, ShutdownUnblocksAPendingRead) {
+  auto [a, b] = make_socketpair_streams();
   std::thread reader([&b] {
     std::uint8_t buf[8];
     const auto n = b->read_some(std::span<std::uint8_t>(buf, sizeof(buf)));
@@ -292,6 +293,8 @@ TEST(InProcessPipe, ShutdownUnblocksAPendingRead) {
 }
 
 // ── Connection state machine (thread-free) ──────────────────────────────
+
+using Drive = Connection::DriveStatus;
 
 struct ConnectionFixture {
   ClientRegistry registry = make_registry(4);
@@ -308,12 +311,12 @@ struct ConnectionFixture {
 TEST(Connection, HandshakeThenMessagesFlow) {
   ConnectionFixture fx;
   EXPECT_FALSE(fx.connection.handshaken());
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
   EXPECT_TRUE(fx.connection.handshaken());
   EXPECT_EQ(fx.connection.client(), ClientId(1));
 
-  ASSERT_TRUE(fx.connection.on_bytes(message_frame(1, 7, 1.001)));
-  ASSERT_TRUE(fx.connection.on_bytes(heartbeat_frame(1, 1.002)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(message_frame(1, 7, 1.001)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(heartbeat_frame(1, 1.002)));
   EXPECT_EQ(fx.connection.frames_in(), 3u);
   EXPECT_EQ(fx.connection.submits_in(), 1u);
   EXPECT_EQ(fx.connection.heartbeats_in(), 1u);
@@ -325,19 +328,22 @@ TEST(Connection, HandshakeSurvivesEveryByteSplit) {
   const auto message = message_frame(2, 9, 1.5);
   for (std::size_t split = 0; split <= handshake.size(); ++split) {
     ConnectionFixture fx;
-    ASSERT_TRUE(fx.connection.on_bytes(std::span<const std::uint8_t>(
-        handshake.data(), split)));
+    ASSERT_EQ(Drive::kReady,
+              fx.connection.drive(std::span<const std::uint8_t>(
+                  handshake.data(), split)));
     EXPECT_EQ(fx.connection.handshaken(), split == handshake.size());
-    ASSERT_TRUE(fx.connection.on_bytes(std::span<const std::uint8_t>(
-        handshake.data() + split, handshake.size() - split)));
+    ASSERT_EQ(Drive::kReady,
+              fx.connection.drive(std::span<const std::uint8_t>(
+                  handshake.data() + split, handshake.size() - split)));
     EXPECT_TRUE(fx.connection.handshaken());
     // A message split across two reads lands exactly once.
     const std::size_t half = message.size() / 2;
-    ASSERT_TRUE(fx.connection.on_bytes(
+    ASSERT_EQ(Drive::kReady, fx.connection.drive(
         std::span<const std::uint8_t>(message.data(), half)));
     EXPECT_EQ(fx.connection.submits_in(), 0u);
-    ASSERT_TRUE(fx.connection.on_bytes(std::span<const std::uint8_t>(
-        message.data() + half, message.size() - half)));
+    ASSERT_EQ(Drive::kReady,
+              fx.connection.drive(std::span<const std::uint8_t>(
+                  message.data() + half, message.size() - half)));
     EXPECT_EQ(fx.connection.submits_in(), 1u);
     EXPECT_EQ(fx.service.pending_count(), 1u);
   }
@@ -345,46 +351,46 @@ TEST(Connection, HandshakeSurvivesEveryByteSplit) {
 
 TEST(Connection, FirstFrameMustBeAnnouncement) {
   ConnectionFixture fx;
-  EXPECT_FALSE(fx.connection.on_bytes(message_frame(1, 7, 1.0)));
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(message_frame(1, 7, 1.0)));
   EXPECT_EQ(fx.connection.error(), WireError::kHandshakeExpected);
   // Poisoned: even a valid handshake is ignored now.
-  EXPECT_FALSE(fx.connection.on_bytes(announce_frame(1)));
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(announce_frame(1)));
   EXPECT_FALSE(fx.connection.handshaken());
 }
 
 TEST(Connection, UnknownClientIsATypedError) {
   ConnectionFixture fx;
-  EXPECT_FALSE(fx.connection.on_bytes(announce_frame(77)));
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(announce_frame(77)));
   EXPECT_EQ(fx.connection.error(), WireError::kUnknownClient);
 }
 
 TEST(Connection, DataFrameForAnotherClientIsRejected) {
   ConnectionFixture fx;
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
-  EXPECT_FALSE(fx.connection.on_bytes(message_frame(2, 7, 1.0)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(message_frame(2, 7, 1.0)));
   EXPECT_EQ(fx.connection.error(), WireError::kClientMismatch);
 }
 
 TEST(Connection, HeartbeatForAnotherClientIsRejected) {
   ConnectionFixture fx;
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
-  EXPECT_FALSE(fx.connection.on_bytes(heartbeat_frame(3, 1.0)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(heartbeat_frame(3, 1.0)));
   EXPECT_EQ(fx.connection.error(), WireError::kClientMismatch);
 }
 
 TEST(Connection, BatchEmissionFromClientIsRejected) {
   ConnectionFixture fx;
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
-  EXPECT_FALSE(fx.connection.on_bytes(
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(
       encode_frame(WireMessage(BatchEmission{0, {MessageId(1)}}))));
   EXPECT_EQ(fx.connection.error(), WireError::kBatchFromClient);
 }
 
 TEST(Connection, MalformedPayloadIsRejected) {
   ConnectionFixture fx;
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
   const std::vector<std::uint8_t> garbage = {0xFF, 0x13, 0x37};
-  EXPECT_FALSE(fx.connection.on_bytes(
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(
       encode_frame(std::span<const std::uint8_t>(garbage))));
   EXPECT_EQ(fx.connection.error(), WireError::kMalformedMessage);
 }
@@ -395,7 +401,8 @@ TEST(Connection, OversizedFrameIsRejected) {
   FrontendConfig config = test_config();
   config.max_frame_bytes = 8;
   Connection connection(registry, service, config);
-  EXPECT_FALSE(connection.on_bytes(announce_frame(1)));  // summary > 8 bytes
+  // The announcement's summary is longer than 8 bytes.
+  EXPECT_EQ(Drive::kFailed, connection.drive(announce_frame(1)));
   EXPECT_EQ(connection.error(), WireError::kOversizedFrame);
 }
 
@@ -406,7 +413,7 @@ TEST(Connection, ValidPrefixBeforeAPoisonByteStillCounts) {
   const auto bad = message_frame(2, 8, 1.002);  // wrong client
   bytes.insert(bytes.end(), good.begin(), good.end());
   bytes.insert(bytes.end(), bad.begin(), bad.end());
-  EXPECT_FALSE(fx.connection.on_bytes(bytes));
+  EXPECT_EQ(Drive::kFailed, fx.connection.drive(bytes));
   EXPECT_EQ(fx.connection.error(), WireError::kClientMismatch);
   // The in-protocol prefix (handshake + one message) was applied.
   EXPECT_TRUE(fx.connection.handshaken());
@@ -416,23 +423,24 @@ TEST(Connection, ValidPrefixBeforeAPoisonByteStillCounts) {
 TEST(Connection, IdenticalReannounceIsIdempotent) {
   ConnectionFixture fx;
   const std::uint64_t generation = fx.registry.generation();
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
   EXPECT_EQ(fx.registry.generation(), generation);  // wire form matched
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));  // mid-stream
+  // Mid-stream re-send.
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
   EXPECT_EQ(fx.registry.generation(), generation);
 }
 
 TEST(Connection, ChangedReannounceUpdatesASequentialRegistry) {
   ConnectionFixture fx;
-  ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(announce_frame(1)));
   const std::uint64_t generation = fx.registry.generation();
   const auto changed = encode_frame(WireMessage(DistributionAnnouncement{
       ClientId(1),
       stats::DistributionSummary(stats::GaussianParams{5e-4, 2e-3})}));
-  ASSERT_TRUE(fx.connection.on_bytes(changed));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(changed));
   EXPECT_EQ(fx.registry.generation(), generation + 1);
   // Ingest still works against the re-primed engine.
-  ASSERT_TRUE(fx.connection.on_bytes(message_frame(1, 7, 1.001)));
+  ASSERT_EQ(Drive::kReady, fx.connection.drive(message_frame(1, 7, 1.001)));
   EXPECT_EQ(fx.service.pending_count(), 1u);
 }
 
@@ -443,7 +451,7 @@ TEST(Connection, ChangedAnnounceAgainstAThreadedServiceStartsAReconfig) {
   FairOrderingService service(registry, ids(4), config);
   Connection connection(registry, service, test_config());
   // Identical announce: fine (generation untouched).
-  ASSERT_TRUE(connection.on_bytes(announce_frame(1)));
+  ASSERT_EQ(Drive::kReady, connection.drive(announce_frame(1)));
   EXPECT_FALSE(service.reconfig_pending());
   // Different distribution: no longer poisons the stream — the registry
   // moves, a reconfig is requested, and the connection keeps streaming
@@ -451,10 +459,10 @@ TEST(Connection, ChangedAnnounceAgainstAThreadedServiceStartsAReconfig) {
   const auto changed = encode_frame(WireMessage(DistributionAnnouncement{
       ClientId(1),
       stats::DistributionSummary(stats::GaussianParams{5e-4, 2e-3})}));
-  EXPECT_TRUE(connection.on_bytes(changed));
+  EXPECT_EQ(Drive::kReady, connection.drive(changed));
   EXPECT_EQ(connection.error(), WireError::kNone);
   EXPECT_EQ(registry.generation(), 5u);  // the change landed
-  ASSERT_TRUE(connection.on_bytes(message_frame(1, 7, 1.001)));
+  ASSERT_EQ(Drive::kReady, connection.drive(message_frame(1, 7, 1.001)));
   service.quiesce();
   EXPECT_EQ(service.pending_count(), 1u);
   // The epoch catches up (the announce already requested the prime).
@@ -524,6 +532,55 @@ TEST(FrameFrontend, FramedEqualsDirectThreadedGlobalMerge) {
 
 // ── Outbound: emissions come back as frames ─────────────────────────────
 
+/// One client's whole byte image: handshake, `messages` message frames
+/// (ids 10c + k, stamps 1 ms apart from 1.0), then a heartbeat at
+/// `heartbeat_stamp`.
+std::vector<std::uint8_t> client_image(std::uint32_t c, int messages,
+                                       double heartbeat_stamp) {
+  std::vector<std::uint8_t> bytes = announce_frame(c);
+  for (int k = 0; k < messages; ++k) {
+    const auto frame = message_frame(
+        c, 10 * c + static_cast<std::uint64_t>(k), 1.0 + 1e-3 * k);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  const auto tail = heartbeat_frame(c, heartbeat_stamp);
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  return bytes;
+}
+
+/// Reads `count` BatchEmission frames off a subscriber's stream.
+std::vector<BatchEmission> read_batches(ByteStream& stream,
+                                        std::size_t count) {
+  FrameDecoder decoder;
+  std::vector<BatchEmission> batches;
+  std::uint8_t buf[256];
+  while (batches.size() < count) {
+    const auto n = stream.read_some(std::span<std::uint8_t>(buf, sizeof(buf)));
+    if (!n.has_value() || *n == 0) {
+      ADD_FAILURE() << "stream ended after " << batches.size() << " of "
+                    << count << " batches";
+      break;
+    }
+    decoder.append(std::span<const std::uint8_t>(buf, *n));
+    while (auto payload = decoder.next()) {
+      auto message = decode(*payload);
+      if (!message.has_value()
+          || !std::holds_alternative<BatchEmission>(*message)) {
+        ADD_FAILURE() << "non-BatchEmission frame on the broadcast stream";
+        return batches;
+      }
+      batches.push_back(std::get<BatchEmission>(std::move(*message)));
+    }
+  }
+  return batches;
+}
+
+std::size_t message_total(const std::vector<BatchEmission>& batches) {
+  std::size_t total = 0;
+  for (const BatchEmission& batch : batches) total += batch.messages.size();
+  return total;
+}
+
 TEST(FrameFrontend, BroadcastsEmittedBatchesAsFrames) {
   ClientRegistry registry = make_registry(2);
   ServiceConfig service_config;
@@ -531,23 +588,14 @@ TEST(FrameFrontend, BroadcastsEmittedBatchesAsFrames) {
   FairOrderingService service(registry, ids(2), service_config);
   FrameFrontend frontend(registry, service, test_config());
 
-  auto [server0, client0] = make_pipe_pair();
-  auto [server1, client1] = make_pipe_pair();
+  auto [server0, client0] = make_socketpair_streams();
+  auto [server1, client1] = make_socketpair_streams();
   frontend.add_connection(server0);
   frontend.add_connection(server1);
 
   for (std::uint32_t c = 0; c < 2; ++c) {
     auto& client = c == 0 ? client0 : client1;
-    std::vector<std::uint8_t> bytes = announce_frame(c);
-    for (int k = 0; k < 5; ++k) {
-      const auto frame =
-          message_frame(c, 10 * c + static_cast<std::uint64_t>(k),
-                        1.0 + 1e-3 * k);
-      bytes.insert(bytes.end(), frame.begin(), frame.end());
-    }
-    const auto tail = heartbeat_frame(c, 1.2);
-    bytes.insert(bytes.end(), tail.begin(), tail.end());
-    ASSERT_TRUE(client->write_all(bytes));
+    ASSERT_TRUE(client->write_all(client_image(c, 5, 1.2)));
     client->close_write();
   }
   frontend.join_readers();
@@ -558,35 +606,17 @@ TEST(FrameFrontend, BroadcastsEmittedBatchesAsFrames) {
 
   // Both clients receive the identical broadcast stream.
   for (auto& client : {client0, client1}) {
-    FrameDecoder decoder;
-    std::vector<BatchEmission> batches;
-    std::uint8_t buf[256];
-    while (batches.size() < emitted) {
-      const auto n =
-          client->read_some(std::span<std::uint8_t>(buf, sizeof(buf)));
-      ASSERT_TRUE(n.has_value());
-      ASSERT_GT(*n, 0u);
-      decoder.append(std::span<const std::uint8_t>(buf, *n));
-      while (auto payload = decoder.next()) {
-        const auto message = decode(*payload);
-        ASSERT_TRUE(message.has_value());
-        ASSERT_TRUE(std::holds_alternative<BatchEmission>(*message));
-        batches.push_back(std::get<BatchEmission>(*message));
-      }
-    }
+    const auto batches = read_batches(*client, emitted);
     ASSERT_EQ(batches.size(), emitted);
-    std::size_t total = 0;
     for (std::size_t i = 0; i < batches.size(); ++i) {
       EXPECT_EQ(batches[i].rank, i);  // single shard: dense ranks
-      total += batches[i].messages.size();
     }
-    EXPECT_EQ(total, 10u);  // every submitted message came back exactly once
+    // Every submitted message came back exactly once.
+    EXPECT_EQ(message_total(batches), 10u);
   }
 }
 
-// ── Real kernel transport ───────────────────────────────────────────────
-
-TEST(FrameFrontend, WorksOverASocketpair) {
+TEST(FrameFrontend, BroadcastsFromAThreadedService) {
   ClientRegistry registry = make_registry(2);
   ServiceConfig service_config;
   service_config.with_p_safe(0.99).with_worker_threads();
@@ -595,41 +625,72 @@ TEST(FrameFrontend, WorksOverASocketpair) {
 
   auto [server_end, client_end] = make_socketpair_streams();
   frontend.add_connection(server_end);
-
-  std::vector<std::uint8_t> bytes = announce_frame(0);
-  for (int k = 0; k < 8; ++k) {
-    const auto frame =
-        message_frame(0, static_cast<std::uint64_t>(k), 1.0 + 1e-3 * k);
-    bytes.insert(bytes.end(), frame.begin(), frame.end());
-  }
-  const auto tail = heartbeat_frame(0, 1.1);
-  bytes.insert(bytes.end(), tail.begin(), tail.end());
-  ASSERT_TRUE(client_end->write_all(bytes));
+  ASSERT_TRUE(client_end->write_all(client_image(0, 8, 1.1)));
   client_end->close_write();
   frontend.join_readers();
   ASSERT_EQ(frontend.connection_error(0), WireError::kNone);
 
   const std::size_t emitted = frontend.pump_flush(TimePoint(2.0));
   ASSERT_GT(emitted, 0u);
+  EXPECT_EQ(message_total(read_batches(*client_end, emitted)), 8u);
+}
 
-  FrameDecoder decoder;
-  std::vector<BatchEmission> batches;
-  std::uint8_t buf[512];
-  while (batches.size() < emitted) {
-    const auto n =
-        client_end->read_some(std::span<std::uint8_t>(buf, sizeof(buf)));
-    ASSERT_TRUE(n.has_value());
-    ASSERT_GT(*n, 0u);
-    decoder.append(std::span<const std::uint8_t>(buf, *n));
-    while (auto payload = decoder.next()) {
-      const auto message = decode(*payload);
-      ASSERT_TRUE(message.has_value());
-      batches.push_back(std::get<BatchEmission>(*message));
-    }
+// ── Adoption: a stream the event loop cannot poll ───────────────────────
+
+/// A stream with no fd behind it. Its I/O would succeed, but nothing can
+/// wait on it, so the front-end must refuse to drive it.
+class UnpollableStream final : public ByteStream {
+ public:
+  std::optional<std::size_t> read_some(std::span<std::uint8_t>) override {
+    return 0;
   }
-  std::size_t total = 0;
-  for (const BatchEmission& batch : batches) total += batch.messages.size();
-  EXPECT_EQ(total, 8u);
+  bool write_all(std::span<const std::uint8_t>) override { return true; }
+  IoResult try_read(std::span<std::uint8_t>) override {
+    return IoResult{IoStatus::kWouldBlock, 0};
+  }
+  IoResult try_write(std::span<const std::uint8_t> bytes) override {
+    return IoResult{IoStatus::kOk, bytes.size()};
+  }
+  int poll_fd() const override { return -1; }
+  void close_write() override {}
+  void shutdown() override { shut_down = true; }
+
+  bool shut_down{false};
+};
+
+TEST(FrameFrontend, UnpollableStreamFailsTypedAndOthersKeepServing) {
+  ClientRegistry registry = make_registry(2);
+  ServiceConfig service_config;
+  service_config.with_p_safe(0.99);
+  FairOrderingService service(registry, ids(2), service_config);
+  FrameFrontend frontend(registry, service, test_config());
+
+  auto unpollable = std::make_shared<UnpollableStream>();
+  const std::uint64_t bad = frontend.add_connection(unpollable);
+  EXPECT_TRUE(frontend.connection_done(bad));
+  EXPECT_EQ(frontend.connection_error(bad), WireError::kStreamError);
+  EXPECT_FALSE(frontend.connection_stats(bad).clean_eof);
+  EXPECT_EQ(frontend.connection_count(), 0u);  // failed: reapable, not live
+
+  // The next adoption reaps the failed connection (its stream is shut
+  // down, its id recycled) and serves the pollable peer normally.
+  auto [server_end, client_end] = make_socketpair_streams();
+  const std::uint64_t good = frontend.add_connection(server_end);
+  EXPECT_EQ(good, bad);
+  EXPECT_TRUE(unpollable->shut_down);
+  EXPECT_EQ(frontend.totals().removed, 1u);
+
+  ASSERT_TRUE(client_end->write_all(client_image(0, 5, 1.2)));
+  client_end->close_write();
+  frontend.join_readers();
+  const ConnectionStats stats = frontend.connection_stats(good);
+  EXPECT_EQ(stats.error, WireError::kNone);
+  EXPECT_TRUE(stats.clean_eof);
+  EXPECT_EQ(stats.submits_in, 5u);
+
+  const std::size_t emitted = frontend.pump_flush(TimePoint(2.0));
+  ASSERT_GT(emitted, 0u);
+  EXPECT_EQ(message_total(read_batches(*client_end, emitted)), 5u);
 }
 
 }  // namespace

@@ -225,11 +225,12 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
   Segments segments;
   SegmentSink boundary_poll;
   {
-    // Boundary drains go through the front-end, not the service: reader
-    // threads are live, and in sequential configs the front-end's
+    // Boundary drains go through the front-end, not the service: the
+    // pollers are live, and in sequential configs the front-end's
     // ingest lock is the only thing serializing them against a poll.
-    auto sink = boundary_poll.sink();
-    server.frontend().pump_into(TimePoint(1.05), sink);
+    auto fn = boundary_poll.sink();
+    core::CallbackSink<decltype(fn)> sink(fn);
+    server.frontend().pump(TimePoint(1.05), PumpOptions{.sink = &sink});
   }
   segments.push_back(std::move(boundary_poll.batches));
 
@@ -254,7 +255,7 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
   EXPECT_EQ(join, HandshakeResult::kAccepted);
   // (4) drive any residual swap to completion before phase B flows —
   // via the front-end so the swap holds the ingest lock that live
-  // readers contend on (sequential configs).
+  // pollers contend on (sequential configs).
   server.frontend().reconfigure();
   EXPECT_FALSE(service.reconfig_pending());
   EXPECT_EQ(service.primed_generation(), registry.generation());
@@ -273,13 +274,15 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
   service.quiesce();
   SegmentSink after_b;
   {
-    auto sink = after_b.sink();
-    server.frontend().pump_into(TimePoint(1.2), sink);
+    auto fn = after_b.sink();
+    core::CallbackSink<decltype(fn)> sink(fn);
+    server.frontend().pump(TimePoint(1.2), PumpOptions{.sink = &sink});
   }
   segments.push_back(std::move(after_b.batches));
 
   // Teardown: everyone departs; the final polls and flush drain the rest.
-  // (Readers are joined below, so these may hit the service directly.)
+  // (join_readers below waits until every connection is done, so these
+  // may hit the service directly.)
   for (std::uint32_t c : {0u, 2u, kJoiner}) wires[c]->close_write();
   server.frontend().join_readers();
   service.quiesce();

@@ -3,9 +3,12 @@
 // mid-frame disconnects at chosen byte offsets, torn handshakes),
 // disconnect and reconnect to resume — and the service's emission stream
 // is bit-identical to the same workload driven through direct session
-// calls, in sequential, threaded, and global-merge configurations. The
-// probabilistic guarantees only matter if they survive messy transports;
-// this is where messy is manufactured on purpose.
+// calls, in sequential, sharded, threaded, and global-merge
+// configurations, over Unix and TCP sockets, with the front-end's M
+// poller threads multiplexing every connection (and a tiny submit-batch
+// limit that keeps the ingest stall paths busy). The probabilistic
+// guarantees only matter if they survive messy transports; this is where
+// messy is manufactured on purpose.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -28,6 +31,10 @@ struct SoakOptions {
   int segments{4};
   bool use_tcp{false};
   std::uint64_t seed{1};
+  std::size_t poller_threads{2};
+  /// Small limits force the submit-batch stall paths (kConsumedStall /
+  /// pending flush) to actually run during the soak.
+  std::size_t submit_batch_limit{0};  // 0 = frontend default
 };
 
 struct SoakOutcome {
@@ -126,6 +133,10 @@ SoakOutcome run_soaked(const std::vector<std::vector<Event>>& workload,
       registry, ids(static_cast<std::uint32_t>(workload.size())), config);
   ServerConfig server_config;
   server_config.frontend = test_frontend_config();
+  server_config.frontend.poller_threads = options.poller_threads;
+  if (options.submit_batch_limit != 0) {
+    server_config.frontend.submit_batch_limit = options.submit_batch_limit;
+  }
   FrameServer server(registry, service, server_config);
 
   std::string path;
@@ -155,7 +166,8 @@ SoakOutcome run_soaked(const std::vector<std::vector<Event>>& workload,
   SoakOutcome outcome;
   outcome.episodes = episodes.load();
   outcome.cuts = cuts.load();
-  // Every episode accepted and fully read before the service is polled.
+  // Every episode accepted and fully applied (every connection done)
+  // before the service is polled.
   EXPECT_TRUE(server.wait_for_accepted(outcome.episodes, 10000));
   server.frontend().join_readers();
   outcome.emissions = drain_captured(service);
@@ -182,7 +194,7 @@ void soak_equivalence(ServiceConfig soak_config,
 TEST(SoakOverUnixSockets, SequentialEmissionsSurviveDisconnectsBitForBit) {
   ServiceConfig config;
   config.with_p_safe(0.99);
-  for (std::uint64_t seed : {1ULL, 2ULL}) {
+  for (std::uint64_t seed : {1ULL, 2ULL, 21ULL, 22ULL}) {
     SoakOptions options;
     options.seed = seed;
     soak_equivalence(config, config, options);
@@ -195,6 +207,10 @@ TEST(SoakOverUnixSockets, SequentialShardedEmissionsSurvive) {
   SoakOptions options;
   options.seed = 5;
   soak_equivalence(config, config, options, /*clients=*/6);
+  // One poller per shard.
+  options.seed = 25;
+  options.poller_threads = 3;
+  soak_equivalence(config, config, options, /*clients=*/6);
 }
 
 TEST(SoakOverUnixSockets, ThreadedEmissionsSurviveDisconnectsBitForBit) {
@@ -202,9 +218,11 @@ TEST(SoakOverUnixSockets, ThreadedEmissionsSurviveDisconnectsBitForBit) {
   threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
   ServiceConfig sequential;
   sequential.with_shards(2).with_p_safe(0.99);
-  SoakOptions options;
-  options.seed = 7;
-  soak_equivalence(threaded, sequential, options);
+  for (std::uint64_t seed : {7ULL, 27ULL}) {
+    SoakOptions options;
+    options.seed = seed;
+    soak_equivalence(threaded, sequential, options);
+  }
 }
 
 TEST(SoakOverUnixSockets, GlobalMergeEmissionsSurviveDisconnectsBitForBit) {
@@ -214,23 +232,50 @@ TEST(SoakOverUnixSockets, GlobalMergeEmissionsSurviveDisconnectsBitForBit) {
   ServiceConfig sequential;
   sequential.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
+  for (std::uint64_t seed : {11ULL, 31ULL}) {
+    SoakOptions options;
+    options.seed = seed;
+    soak_equivalence(threaded, sequential, options);
+  }
+}
+
+TEST(SoakOverUnixSockets, TinySubmitBatchLimitStillBitIdentical) {
+  // submit_batch_limit=2 forces the pending-flush / kConsumedStall paths
+  // to run constantly; the emissions must not notice.
+  ServiceConfig config;
+  config.with_p_safe(0.99);
   SoakOptions options;
-  options.seed = 11;
-  soak_equivalence(threaded, sequential, options);
+  options.seed = 33;
+  options.submit_batch_limit = 2;
+  soak_equivalence(config, config, options);
 }
 
 TEST(SoakOverTcp, SequentialEmissionsSurviveDisconnectsBitForBit) {
   ServiceConfig config;
   config.with_p_safe(0.99);
+  for (std::uint64_t seed : {13ULL, 37ULL}) {
+    SoakOptions options;
+    options.seed = seed;
+    options.use_tcp = true;
+    soak_equivalence(config, config, options);
+  }
+}
+
+TEST(SoakOverTcp, ThreadedEmissionsSurviveDisconnectsBitForBit) {
+  ServiceConfig threaded;
+  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
+  ServiceConfig sequential;
+  sequential.with_shards(2).with_p_safe(0.99);
   SoakOptions options;
-  options.seed = 13;
+  options.seed = 41;
   options.use_tcp = true;
-  soak_equivalence(config, config, options);
+  soak_equivalence(threaded, sequential, options);
 }
 
 /// Churn through the real acceptor: the server-side connection table
 /// stays bounded across 60 connect/disconnect cycles (the acceptor
-/// variant of the frontend churn regression).
+/// variant of the frontend churn regression; retire unhooks each
+/// connection from its poller via remove_sync).
 TEST(SoakOverUnixSockets, AcceptorChurnKeepsTheTableBounded) {
   ClientRegistry registry = make_registry(2);
   ServiceConfig config;

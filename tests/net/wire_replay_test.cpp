@@ -200,7 +200,7 @@ TEST(WireReplay, ReplayedEmissionsAreBitIdenticalToTheRecordedRun) {
     EXPECT_EQ(stats->bytes, loaded->total_bytes());
 
     // Everything the replay sent must be applied before we poll: all 12
-    // episodes accepted and every reader done.
+    // episodes accepted and every connection done.
     ASSERT_TRUE(server.wait_for_accepted(stats->connections, 5000));
     server.frontend().join_readers();
     expect_equivalent(direct, drain_captured(service));
