@@ -1,9 +1,11 @@
 // Cost of the preceding-probability engine (§3.2/§3.3): the Gaussian
-// closed form versus the numeric convolution path, and the effect of the
-// per-client-pair Δθ density cache.
+// closed form versus the numeric convolution path, the effect of the
+// per-client-pair Δθ density cache, and the numeric prime against N.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
 #include "core/preceding.hpp"
+#include "sim/population.hpp"
 #include "stats/analytic.hpp"
 #include "stats/gaussian.hpp"
 
@@ -34,6 +36,23 @@ ClientRegistry uniform_registry(std::size_t clients) {
     registry.announce(ClientId(static_cast<std::uint32_t>(c)),
                       std::make_unique<tommy::stats::Uniform>(
                           -20e-6 - 1e-6 * static_cast<double>(c % 3), 20e-6));
+  }
+  return registry;
+}
+
+/// livebench's inproc_numeric mix: half Gumbel, half bimodal clocks at a
+/// 4 µs deviation scale, so every pair takes the numeric path.
+ClientRegistry numeric_registry(std::size_t clients) {
+  tommy::Rng rng(20251);
+  const std::size_t gumbel = clients / 2;
+  const auto a = tommy::sim::gumbel_population(gumbel, 4e-6, rng);
+  const auto b = tommy::sim::bimodal_population(clients - gumbel, 4e-6, rng);
+  ClientRegistry registry;
+  std::uint32_t next_id = 0;
+  for (const auto* population : {&a, &b}) {
+    for (const auto& c : population->clients()) {
+      registry.announce(ClientId(next_id++), c.offset->clone());
+    }
   }
   return registry;
 }
@@ -131,6 +150,22 @@ void BM_SafeEmissionTimeNumericQuantile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SafeEmissionTimeNumericQuantile);
+
+void BM_NumericPrime(benchmark::State& state) {
+  // The set-up cost a numeric service pays per prime (and per live
+  // reconfiguration): every ordered pair's Δθ convolution and quantile.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const ClientRegistry registry = numeric_registry(n);
+  std::size_t cached = 0;
+  for (auto _ : state) {
+    const PrecedingEngine engine(registry);
+    engine.prime(0.75, 0.999, /*prefill_pairs=*/true);
+    cached = engine.cached_pairs();
+  }
+  state.counters["ordered_pairs"] = static_cast<double>(n * n);
+  state.counters["cached_pairs"] = static_cast<double>(cached);
+}
+BENCHMARK(BM_NumericPrime)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
 }  // namespace
 

@@ -57,7 +57,8 @@ using UserCounters = std::map<std::string, Counter>;
 
 class State {
  public:
-  struct Value {};
+  // [[maybe_unused]]: the `for (auto _ : state)` variable is never read.
+  struct [[maybe_unused]] Value {};
   struct StateIterator {
     State* parent{nullptr};
     IterationCount cached{0};

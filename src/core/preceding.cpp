@@ -196,17 +196,19 @@ void PrecedingEngine::build_fast_tables(double threshold,
 
 void PrecedingEngine::prefill_critical_gaps() const {
   TOMMY_ASSERT(fast_.valid);
-  // Fill every lazy slot through the same path first queries would take
-  // (numeric pairs: one convolution + one quantile each; bounded Δθ
-  // caches may evict densities, but the gap scalars all land). Then
-  // tighten the row bounds to the exact maxima — the windowed closure
-  // scans shrink from the support bound to the true uncertainty window.
+  // Fill every lazy slot with the value a first query would store
+  // (numeric pairs: one convolution + one quantile each), but read each
+  // quantile from a transient Δθ density: no fast_* query ever reads the
+  // densities, and caching them would pin all n² of them. Then tighten
+  // the row bounds to the exact maxima — the windowed closure scans
+  // shrink from the support bound to the true uncertainty window.
   const std::size_t n = fast_.n;
   double global = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
     double row_max = -std::numeric_limits<double>::infinity();
     for (std::uint32_t j = 0; j < n; ++j) {
-      row_max = std::max(row_max, fast_critical_gap(i, j));
+      row_max = std::max(row_max,
+                         fill_critical_gap(i, j, /*cache_density=*/false));
     }
     fast_.max_gap_from[i] = row_max;
     global = std::max(global, row_max);
@@ -216,13 +218,14 @@ void PrecedingEngine::prefill_critical_gaps() const {
 }
 
 double PrecedingEngine::numeric_critical_gap(std::uint32_t ci,
-                                             std::uint32_t cj) const {
+                                             std::uint32_t cj,
+                                             bool cache_density) const {
   // p(a, b) > threshold ⟺ T_a − T_b < q ⟺ c_b − c_a > (μ_j − μ_i) − q
   // with q = tail_quantile_Δθ(threshold); see header derivation.
   const ClientId id_i = registry_.client_at(ci);
   const ClientId id_j = registry_.client_at(cj);
   double q;
-  if (config_.cache_difference_densities) {
+  if (cache_density) {
     q = difference_density_for(id_i, id_j).tail_quantile(fast_.threshold);
   } else {
     const auto dist_j = registry_.distribution_ptr_at(cj);
@@ -237,9 +240,14 @@ double PrecedingEngine::numeric_critical_gap(std::uint32_t ci,
 double PrecedingEngine::fast_critical_gap(std::uint32_t ci,
                                           std::uint32_t cj) const {
   TOMMY_ASSERT(fast_.valid && ci < fast_.n && cj < fast_.n);
+  return fill_critical_gap(ci, cj, config_.cache_difference_densities);
+}
+
+double PrecedingEngine::fill_critical_gap(std::uint32_t ci, std::uint32_t cj,
+                                          bool cache_density) const {
   double& slot = fast_.critical_gap[ci * fast_.n + cj];
   if (std::isnan(slot)) {
-    slot = numeric_critical_gap(ci, cj);
+    slot = numeric_critical_gap(ci, cj, cache_density);
     // Tripwire for the Cantelli row bound: the exact gap must never exceed
     // what the windowed scans assumed possible.
     TOMMY_ASSERT(slot <= fast_.max_gap_from[ci]);

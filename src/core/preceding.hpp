@@ -70,7 +70,9 @@
 namespace tommy::core {
 
 struct PrecedingConfig {
-  /// Per-input grid resolution for the numeric path.
+  /// Grid resolution of the numeric path: the narrower of a pair's two
+  /// offset densities is sampled at this many points, and the wider one
+  /// at the same spacing (see stats::difference_density).
   std::size_t grid_points{1024};
   /// Convolution algorithm for the numeric path.
   stats::ConvolutionMethod method{stats::ConvolutionMethod::kFft};
@@ -83,7 +85,9 @@ struct PrecedingConfig {
   /// (the seed behaviour). The lazily-filled critical-gap *scalars* are
   /// never evicted — only the O(grid_points) densities, which are the
   /// unbounded-memory risk for large non-Gaussian client sets (the
-  /// worst case is n² densities of grid_points samples each).
+  /// worst case is n² densities of grid_points samples each). Only the
+  /// slow per-query path and the lazy first-query gap fill insert; a
+  /// prefilled prime leaves the cache empty.
   std::size_t difference_cache_capacity{0};
 };
 
@@ -129,13 +133,17 @@ class PrecedingEngine {
   /// With `prefill_pairs` every critical-gap slot is filled eagerly
   /// (numeric pairs pay their convolution + quantile here instead of on
   /// first query) and the per-row maxima are tightened to the exact
-  /// values. After a prefilled prime the engine is IMMUTABLE under the
-  /// whole fast_* surface — no lazy slot writes, no density-cache
-  /// insertions — which is what lets N shard worker threads read one
-  /// shared engine with no synchronization (see docs/architecture.md,
-  /// "Threading model"). The default lazy fill remains for
-  /// single-threaded use, where first-query filling spreads the O(n²)
-  /// convolution cost over the warmup instead of the constructor.
+  /// values. Each numeric gap is read from a transient Δθ density, so the
+  /// prefill leaves the density cache empty (cached_pairs() == 0) instead
+  /// of pinning n² densities no fast_* query reads; the gaps are bitwise
+  /// those the lazy fill stores. After a prefilled prime the engine is
+  /// IMMUTABLE under the whole fast_* surface — no lazy slot writes, no
+  /// density-cache insertions — which is what lets N shard worker threads
+  /// read one shared engine with no synchronization (see
+  /// docs/architecture.md, "Threading model"). The default lazy fill
+  /// remains for single-threaded use, where first-query filling spreads
+  /// the O(n²) convolution cost over the warmup instead of the
+  /// constructor.
   void prime(double threshold, double p_safe,
              bool prefill_pairs = false) const;
 
@@ -231,8 +239,14 @@ class PrecedingEngine {
  private:
   [[nodiscard]] const stats::GridDensity& difference_density_for(
       ClientId from, ClientId to) const;
+  /// g*_{ij} of a numeric pair; `cache_density` routes the Δθ density
+  /// through the cache, otherwise it is built and dropped.
   [[nodiscard]] double numeric_critical_gap(std::uint32_t ci,
-                                            std::uint32_t cj) const;
+                                            std::uint32_t cj,
+                                            bool cache_density) const;
+  /// The slot of g*_{ij}, filled by numeric_critical_gap when still lazy.
+  [[nodiscard]] double fill_critical_gap(std::uint32_t ci, std::uint32_t cj,
+                                         bool cache_density) const;
   void build_fast_tables(double threshold, double p_safe) const;
   void prefill_critical_gaps() const;
 

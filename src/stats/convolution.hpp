@@ -32,8 +32,10 @@ enum class ConvolutionMethod {
                                                  ConvolutionMethod::kFft);
 
 /// Discretizes two arbitrary distributions onto compatible grids (equal
-/// spacing chosen from the finer effective support) and returns the Δθ
-/// density for (θ_j − θ_i). `points_hint` bounds the per-input grid size.
+/// spacing chosen from the narrower effective support) and returns the Δθ
+/// density for (θ_j − θ_i). `points_hint` is the narrower input's grid
+/// size; the wider input's grid keeps the same spacing, so its size grows
+/// with the ratio of the two widths (and the transform with it).
 [[nodiscard]] GridDensity difference_density(const Distribution& theta_j,
                                              const Distribution& theta_i,
                                              std::size_t points_hint = 1024,

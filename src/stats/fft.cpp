@@ -23,19 +23,48 @@ void fft_radix2(std::vector<std::complex<double>>& a, bool inverse) {
     if (i < j) std::swap(a[i], a[j]);
   }
 
-  // Butterfly passes.
+  // Butterfly passes over the interleaved (re, im) doubles of the array
+  // ([complex.numbers] sanctions the cast). Every product and sum is the
+  // one std::complex evaluates, in its order, so the output is bitwise
+  // that of the textbook complex-typed loop (see fft.hpp).
+  double* d = reinterpret_cast<double*>(a.data());
+  // One stage's twiddle row w_k = wlen^k, interleaved like `d`.
+  std::vector<double> twiddle(n);
   for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
     const double angle =
         (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    const double wlen_re = std::cos(angle);
+    const double wlen_im = std::sin(angle);
+    // w ← w·wlen from w = 1, each step a complex product in std::complex's
+    // order; every block of the stage reads the same row.
+    double w_re = 1.0;
+    double w_im = 0.0;
+    for (std::size_t k = 0; k < half; ++k) {
+      twiddle[2 * k] = w_re;
+      twiddle[2 * k + 1] = w_im;
+      const double next_re = w_re * wlen_re - w_im * wlen_im;
+      const double next_im = w_re * wlen_im + w_im * wlen_re;
+      w_re = next_re;
+      w_im = next_im;
+    }
     for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = a[i + k];
-        const std::complex<double> v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
+      double* lo = d + 2 * i;
+      double* hi = d + 2 * (i + half);
+      for (std::size_t k = 0; k < half; ++k) {
+        const double wr = twiddle[2 * k];
+        const double wi = twiddle[2 * k + 1];
+        const double ar = hi[2 * k];
+        const double ai = hi[2 * k + 1];
+        // v = a[i + k + half] · w
+        const double vr = ar * wr - ai * wi;
+        const double vi = ar * wi + ai * wr;
+        const double ur = lo[2 * k];
+        const double ui = lo[2 * k + 1];
+        lo[2 * k] = ur + vr;
+        lo[2 * k + 1] = ui + vi;
+        hi[2 * k] = ur - vr;
+        hi[2 * k + 1] = ui - vi;
       }
     }
   }
@@ -75,7 +104,18 @@ std::vector<double> fft_convolve_real(const std::vector<double>& a,
 
   fft_forward(fa);
   fft_forward(fb);
-  for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
+  // Spectrum product fa·fb over the interleaved doubles, in std::complex's
+  // order (see fft_radix2).
+  double* pa = reinterpret_cast<double*>(fa.data());
+  const double* pb = reinterpret_cast<const double*>(fb.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ar = pa[2 * i];
+    const double ai = pa[2 * i + 1];
+    const double br = pb[2 * i];
+    const double bi = pb[2 * i + 1];
+    pa[2 * i] = ar * br - ai * bi;
+    pa[2 * i + 1] = ar * bi + ai * br;
+  }
   fft_inverse(fa);
 
   std::vector<double> out(out_len);

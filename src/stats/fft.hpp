@@ -2,6 +2,17 @@
 // by the convolution engine to realize the paper's §3.3 optimization:
 // "convolution in the time domain is multiplication in the frequency
 // domain", turning the O(n²) pairwise-density convolution into O(n log n).
+//
+// Bitwise contract: on finite inputs, fft_forward, fft_inverse and
+// fft_convolve_real return exactly the bits of the textbook radix-2 over
+// std::complex<double> — bit-reversal, then per stage the twiddle
+// w_0 = 1, w_{k+1} = w_k·wlen and the butterflies u ± a·w — with every
+// complex product evaluated as re = ar·br − ai·bi, im = ar·bi + ai·br,
+// and the product of spectra likewise. The kernel runs that arithmetic
+// over the array's interleaved doubles. The contract assumes the build
+// does not contract a·b ± c·d into fused multiply-adds (this tree sets no
+// FMA target flag); tests/stats/fft_test.cpp pins it against the
+// complex-typed loop.
 #pragma once
 
 #include <complex>

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
+#include "sim/population.hpp"
 #include "stats/analytic.hpp"
 #include "stats/gaussian.hpp"
 
@@ -232,6 +234,41 @@ TEST(PrecedingNumeric, BoundedCacheSurvivesLazyCriticalGapFill) {
       }
     }
   }
+}
+
+TEST(PrecedingNumeric, PrefilledPrimeCachesNoDensities) {
+  // Half Gumbel, half bimodal clocks: every pair takes the numeric path.
+  // The eager prefill must leave the Δθ cache empty (no fast_* query reads
+  // a density) and store exactly the gaps the lazy first-query fill does.
+  Rng rng(20251);
+  const sim::Population gumbel = sim::gumbel_population(3, 4e-6, rng);
+  const sim::Population bimodal = sim::bimodal_population(3, 4e-6, rng);
+  ClientRegistry registry;
+  std::uint32_t next_id = 0;
+  for (const sim::Population* population : {&gumbel, &bimodal}) {
+    for (const sim::ClientSpec& c : population->clients()) {
+      registry.announce(ClientId(next_id++), c.offset->clone());
+    }
+  }
+
+  PrecedingEngine prefilled(registry);
+  prefilled.prime(0.75, 0.999, /*prefill_pairs=*/true);
+  EXPECT_TRUE(prefilled.fast_prefilled());
+  EXPECT_EQ(prefilled.cached_pairs(), 0u);
+
+  PrecedingEngine lazy(registry);
+  lazy.prime(0.75, 0.999);
+  const std::uint32_t n = next_id;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      const double gap = prefilled.fast_critical_gap(i, j);
+      const double twin = lazy.fast_critical_gap(i, j);
+      EXPECT_EQ(std::memcmp(&gap, &twin, sizeof gap), 0)
+          << "pair (" << i << "," << j << "): " << gap << " vs " << twin;
+    }
+  }
+  EXPECT_EQ(lazy.cached_pairs(), static_cast<std::size_t>(n) * n);
+  EXPECT_EQ(prefilled.cached_pairs(), 0u);  // queries stay read-only
 }
 
 TEST(PrecedingNumeric, UniformPairHasClosedFormCheck) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -111,6 +113,102 @@ TEST(Convolve, CommutativeViaFft) {
   const auto ba = fft_convolve_real(b, a);
   ASSERT_EQ(ab.size(), ba.size());
   for (std::size_t k = 0; k < ab.size(); ++k) EXPECT_NEAR(ab[k], ba[k], 1e-10);
+}
+
+// ── Bitwise contract (fft.hpp) ─────────────────────────────────────────
+
+// The textbook radix-2 over std::complex, advancing the twiddle w *= wlen
+// inside every block. The library's kernel must reproduce it bit for bit.
+void reference_fft(std::vector<std::complex<double>>& a, bool inverse) {
+  const std::size_t n = a.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      std::complex<double> w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const std::complex<double> u = a[i + k];
+        const std::complex<double> v = a[i + k + len / 2] * w;
+        a[i + k] = u + v;
+        a[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& x : a) x *= inv_n;
+  }
+}
+
+std::vector<double> reference_convolve(const std::vector<double>& a,
+                                       const std::vector<double>& b) {
+  const std::size_t out_len = a.size() + b.size() - 1;
+  const std::size_t n = next_pow2(out_len);
+  std::vector<std::complex<double>> fa(n), fb(n);
+  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = a[i];
+  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = b[i];
+  reference_fft(fa, /*inverse=*/false);
+  reference_fft(fb, /*inverse=*/false);
+  for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
+  reference_fft(fa, /*inverse=*/true);
+  std::vector<double> out(out_len);
+  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
+  return out;
+}
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+TEST(FftBitwise, ForwardAndInverseMatchTheComplexReference) {
+  Rng rng(41);
+  for (std::size_t n = 1; n <= 16384; n <<= 1) {
+    std::vector<std::complex<double>> data(n);
+    for (auto& v : data) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+
+    auto forward = data;
+    auto forward_ref = data;
+    fft_forward(forward);
+    reference_fft(forward_ref, /*inverse=*/false);
+    EXPECT_TRUE(bitwise_equal(forward, forward_ref)) << "forward n=" << n;
+
+    auto inverse = data;
+    auto inverse_ref = data;
+    fft_inverse(inverse);
+    reference_fft(inverse_ref, /*inverse=*/true);
+    EXPECT_TRUE(bitwise_equal(inverse, inverse_ref)) << "inverse n=" << n;
+  }
+}
+
+TEST(FftBitwise, ConvolutionMatchesTheComplexReferenceAtEveryBoundary) {
+  // Output lengths p − 1, p and p + 1 around every power of two p: the
+  // transform size steps from p to 2p between the last two.
+  Rng rng(43);
+  for (std::size_t p = 1; p <= 16384; p <<= 1) {
+    for (const std::size_t out_len : {p - 1, p, p + 1}) {
+      if (out_len == 0) continue;
+      // Split out_len + 1 samples into two non-empty inputs.
+      const auto na = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(out_len)));
+      std::vector<double> a(na), b(out_len + 1 - na);
+      for (auto& x : a) x = rng.uniform(-1, 1);
+      for (auto& x : b) x = rng.uniform(0, 2);
+      EXPECT_TRUE(bitwise_equal(fft_convolve_real(a, b),
+                                reference_convolve(a, b)))
+          << "out_len=" << out_len << " na=" << a.size()
+          << " nb=" << b.size();
+    }
+  }
 }
 
 TEST(FftDeathTest, RequiresPowerOfTwo) {
