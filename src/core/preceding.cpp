@@ -1,12 +1,32 @@
 #include "core/preceding.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <limits>
+#include <system_error>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/math.hpp"
 
 namespace tommy::core {
+
+namespace {
+
+/// CPUs in the calling thread's affinity mask; 1 when it cannot be read.
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<std::size_t>(std::max(CPU_COUNT(&set), 1));
+}
+
+}  // namespace
 
 PrecedingEngine::PrecedingEngine(const ClientRegistry& registry,
                                  PrecedingConfig config)
@@ -199,16 +219,61 @@ void PrecedingEngine::prefill_critical_gaps() const {
   // Fill every lazy slot with the value a first query would store
   // (numeric pairs: one convolution + one quantile each), but read each
   // quantile from a transient Δθ density: no fast_* query ever reads the
-  // densities, and caching them would pin all n² of them. Then tighten
-  // the row bounds to the exact maxima — the windowed closure scans
-  // shrink from the support bound to the true uncertainty window.
+  // densities, and caching them would pin all n² of them.
+  //
+  // The slots are independent, so the calling thread and one helper per
+  // further CPU of its affinity mask share them, taking one cell at a
+  // time from a common cursor (cells, not rows: a narrow-support
+  // client's row holds the widest transforms). Exactly one thread writes
+  // each slot, with the same pure computation wherever it runs, so every
+  // gap is bitwise that of a serial fill. max_gap_from, which the fill's
+  // tripwire reads, is written only after the join. No helper outlives
+  // this call; an exception thrown on a helper is rethrown here.
   const std::size_t n = fast_.n;
+  const std::size_t cells = n * n;
+  const auto lazy = static_cast<std::size_t>(
+      std::count_if(fast_.critical_gap.begin(), fast_.critical_gap.end(),
+                    [](double gap) { return std::isnan(gap); }));
+  const std::size_t helpers =
+      lazy == 0 ? 0 : std::min(usable_cpus(), lazy) - 1;
+
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::exception_ptr> errors(helpers + 1);
+  auto fill = [&](std::exception_ptr& error) {
+    try {
+      for (std::size_t k = cursor++; k < cells; k = cursor++) {
+        static_cast<void>(fill_critical_gap(static_cast<std::uint32_t>(k / n),
+                                            static_cast<std::uint32_t>(k % n),
+                                            /*cache_density=*/false));
+      }
+    } catch (...) {
+      error = std::current_exception();
+      cursor = cells;  // the others stop at their next cell
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(helpers);
+    for (std::size_t h = 1; h <= helpers; ++h) {
+      try {
+        threads.emplace_back(fill, std::ref(errors[h]));
+      } catch (const std::system_error&) {
+        break;  // fill with the helpers that did start
+      }
+    }
+    fill(errors[0]);
+  }  // joins every helper
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
+  // Tighten the row bounds to the exact maxima — the windowed closure
+  // scans shrink from the support bound to the true uncertainty window.
   double global = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
     double row_max = -std::numeric_limits<double>::infinity();
     for (std::uint32_t j = 0; j < n; ++j) {
-      row_max = std::max(row_max,
-                         fill_critical_gap(i, j, /*cache_density=*/false));
+      row_max = std::max(row_max, fast_.critical_gap[i * n + j]);
     }
     fast_.max_gap_from[i] = row_max;
     global = std::max(global, row_max);

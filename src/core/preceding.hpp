@@ -48,6 +48,12 @@
 //     So lazy numeric fill never blocks the windowed closure scans that
 //     rely on Ḡ_i.
 //
+// A prefilled prime (prime(…, /*prefill_pairs=*/true)) instead fills
+// every numeric g*_{ij} up front and tightens Ḡ_i to the exact row
+// maxima. Its n² cells are independent, so the calling thread shares
+// them with one helper thread per further CPU of its affinity mask; the
+// helpers are joined before prime() returns, and no thread outlives it.
+//
 // After priming, `confidently_preceding` is a subtraction and a compare;
 // the sequencer's corrected stamps, safe-emission times and completeness
 // frontiers are one addition each. The slow per-query API below remains
@@ -136,14 +142,21 @@ class PrecedingEngine {
   /// values. Each numeric gap is read from a transient Δθ density, so the
   /// prefill leaves the density cache empty (cached_pairs() == 0) instead
   /// of pinning n² densities no fast_* query reads; the gaps are bitwise
-  /// those the lazy fill stores. After a prefilled prime the engine is
-  /// IMMUTABLE under the whole fast_* surface — no lazy slot writes, no
-  /// density-cache insertions — which is what lets N shard worker threads
-  /// read one shared engine with no synchronization (see
-  /// docs/architecture.md, "Threading model"). The default lazy fill
-  /// remains for single-threaded use, where first-query filling spreads
-  /// the O(n²) convolution cost over the warmup instead of the
-  /// constructor.
+  /// those the lazy fill stores. The prefill fans out: the calling thread
+  /// and one helper per further CPU of its affinity mask take the n²
+  /// cells one at a time (no helper when the mask holds one CPU or no
+  /// slot is lazy, as in an all-Gaussian registry). Every helper is
+  /// joined before prime() returns, on every path, so no thread outlives
+  /// it; an exception thrown on a helper is rethrown on the calling
+  /// thread. The fan-out needs every Distribution's const members to be
+  /// safe to call concurrently (stats/distribution.hpp). After a
+  /// prefilled prime the engine is IMMUTABLE under the whole fast_*
+  /// surface — no lazy slot writes, no density-cache insertions — which
+  /// is what lets N shard worker threads read one shared engine with no
+  /// synchronization (see docs/architecture.md, "Threading model"). The
+  /// default lazy fill remains for single-threaded use, where first-query
+  /// filling spreads the O(n²) convolution cost over the warmup instead
+  /// of the constructor.
   void prime(double threshold, double p_safe,
              bool prefill_pairs = false) const;
 

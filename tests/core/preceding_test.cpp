@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -236,39 +241,134 @@ TEST(PrecedingNumeric, BoundedCacheSurvivesLazyCriticalGapFill) {
   }
 }
 
-TEST(PrecedingNumeric, PrefilledPrimeCachesNoDensities) {
-  // Half Gumbel, half bimodal clocks: every pair takes the numeric path.
-  // The eager prefill must leave the Δθ cache empty (no fast_* query reads
-  // a density) and store exactly the gaps the lazy first-query fill does.
-  Rng rng(20251);
-  const sim::Population gumbel = sim::gumbel_population(3, 4e-6, rng);
-  const sim::Population bimodal = sim::bimodal_population(3, 4e-6, rng);
+/// One registry holding every client of `populations`, numbered densely
+/// in order.
+ClientRegistry registry_of(
+    std::initializer_list<const sim::Population*> populations) {
   ClientRegistry registry;
   std::uint32_t next_id = 0;
-  for (const sim::Population* population : {&gumbel, &bimodal}) {
+  for (const sim::Population* population : populations) {
     for (const sim::ClientSpec& c : population->clients()) {
       registry.announce(ClientId(next_id++), c.offset->clone());
     }
   }
+  return registry;
+}
 
-  PrecedingEngine prefilled(registry);
-  prefilled.prime(0.75, 0.999, /*prefill_pairs=*/true);
-  EXPECT_TRUE(prefilled.fast_prefilled());
-  EXPECT_EQ(prefilled.cached_pairs(), 0u);
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
 
-  PrecedingEngine lazy(registry);
-  lazy.prime(0.75, 0.999);
-  const std::uint32_t n = next_id;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      const double gap = prefilled.fast_critical_gap(i, j);
-      const double twin = lazy.fast_critical_gap(i, j);
-      EXPECT_EQ(std::memcmp(&gap, &twin, sizeof gap), 0)
-          << "pair (" << i << "," << j << "): " << gap << " vs " << twin;
+TEST(PrecedingNumeric, PrefilledPrimeCachesNoDensities) {
+  // The eager prefill shares its cells among the calling thread and one
+  // helper per further CPU. Whatever the split, it must leave the Δθ
+  // cache empty (no fast_* query reads a density) and store exactly the
+  // gaps, row maxima and global maximum of the lazy first-query fill.
+  // The registries cover the fan-out's edges: one numeric client (one
+  // cell, no helper), 13 mixed clients (169 cells, not a multiple of any
+  // thread count), an all-Gaussian registry (no lazy slot, no fan-out),
+  // and half Gumbel, half bimodal clocks (every pair numeric).
+  Rng rng(20251);
+  const sim::Population gumbel = sim::gumbel_population(3, 4e-6, rng);
+  const sim::Population bimodal = sim::bimodal_population(3, 4e-6, rng);
+  const sim::Population one = sim::gumbel_population(1, 4e-6, rng);
+  const sim::Population mixed_gaussian =
+      sim::gaussian_population(5, 4e-6, rng);
+  const sim::Population mixed_gumbel = sim::gumbel_population(4, 4e-6, rng);
+  const sim::Population mixed_bimodal =
+      sim::bimodal_population(4, 4e-6, rng);
+  const sim::Population gaussian = sim::gaussian_population(6, 4e-6, rng);
+
+  struct Case {
+    const char* label;
+    ClientRegistry registry;
+    std::size_t gaussian_clients;
+  };
+  Case cases[] = {
+      {"3 Gumbel + 3 bimodal", registry_of({&gumbel, &bimodal}), 0},
+      {"1 numeric client", registry_of({&one}), 0},
+      {"5 Gaussian + 4 Gumbel + 4 bimodal",
+       registry_of({&mixed_gaussian, &mixed_gumbel, &mixed_bimodal}), 5},
+      {"6 Gaussian", registry_of({&gaussian}), 6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    PrecedingEngine prefilled(c.registry);
+    prefilled.prime(0.75, 0.999, /*prefill_pairs=*/true);
+    EXPECT_TRUE(prefilled.fast_prefilled());
+    EXPECT_EQ(prefilled.cached_pairs(), 0u);
+
+    PrecedingEngine lazy(c.registry);
+    lazy.prime(0.75, 0.999);
+    const auto n = static_cast<std::uint32_t>(c.registry.size());
+    double twin_global = 0.0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      double twin_row = -std::numeric_limits<double>::infinity();
+      for (std::uint32_t j = 0; j < n; ++j) {
+        const double gap = prefilled.fast_critical_gap(i, j);
+        const double twin = lazy.fast_critical_gap(i, j);
+        EXPECT_TRUE(same_bits(gap, twin))
+            << "pair (" << i << "," << j << "): " << gap << " vs " << twin;
+        twin_row = std::max(twin_row, twin);
+      }
+      EXPECT_TRUE(same_bits(prefilled.fast_max_gap_from(i), twin_row))
+          << "row " << i << ": " << prefilled.fast_max_gap_from(i) << " vs "
+          << twin_row;
+      twin_global = std::max(twin_global, twin_row);
     }
+    EXPECT_TRUE(same_bits(prefilled.fast_global_max_gap(), twin_global))
+        << prefilled.fast_global_max_gap() << " vs " << twin_global;
+    const std::size_t numeric_pairs =
+        std::size_t{n} * n - c.gaussian_clients * c.gaussian_clients;
+    EXPECT_EQ(lazy.cached_pairs(), numeric_pairs);
+    EXPECT_EQ(prefilled.cached_pairs(), 0u);  // queries stay read-only
   }
-  EXPECT_EQ(lazy.cached_pairs(), static_cast<std::size_t>(n) * n);
-  EXPECT_EQ(prefilled.cached_pairs(), 0u);  // queries stay read-only
+}
+
+/// A Gumbel clock whose density throws: building any Δθ grid from it
+/// fails, while the moments and quantiles the fast tables read work.
+class DensityThrows final : public stats::Distribution {
+ public:
+  DensityThrows(double location, double scale) : inner_(location, scale) {}
+  [[nodiscard]] double pdf(double /*x*/) const override {
+    throw std::runtime_error("density unavailable");
+  }
+  [[nodiscard]] double cdf(double x) const override { return inner_.cdf(x); }
+  [[nodiscard]] double quantile(double p) const override {
+    return inner_.quantile(p);
+  }
+  [[nodiscard]] double mean() const override { return inner_.mean(); }
+  [[nodiscard]] double variance() const override {
+    return inner_.variance();
+  }
+  [[nodiscard]] stats::Support support() const override {
+    return inner_.support();
+  }
+  [[nodiscard]] stats::DistributionPtr clone() const override {
+    return std::make_unique<DensityThrows>(*this);
+  }
+  [[nodiscard]] std::string describe() const override {
+    return "DensityThrows(" + inner_.describe() + ")";
+  }
+
+ private:
+  stats::Gumbel inner_;
+};
+
+TEST(PrecedingNumeric, PrefilledPrimeRethrowsAFillersException) {
+  // Every cell is numeric and throws, so the calling thread and each
+  // helper catch one. The prime must join them all and rethrow on the
+  // calling thread, as a serial fill would have thrown there: an
+  // exception escaping a helper thread would terminate the process.
+  ClientRegistry registry;
+  for (std::uint32_t c = 0; c < 8; ++c) {
+    registry.announce(ClientId(c),
+                      std::make_unique<DensityThrows>(0.0, 1e-6 * (c + 1)));
+  }
+  PrecedingEngine engine(registry);
+  EXPECT_THROW(engine.prime(0.75, 0.999, /*prefill_pairs=*/true),
+               std::runtime_error);
+  EXPECT_FALSE(engine.fast_prefilled());
 }
 
 TEST(PrecedingNumeric, UniformPairHasClosedFormCheck) {

@@ -40,10 +40,32 @@ struct Stream {
   ClientRegistry registry;
 };
 
+/// The clients' clock-offset distributions.
+enum class Clocks { kGaussian, kGumbelBimodal };
+
+sim::Population population_of(Clocks clocks, std::size_t clients, Rng& rng) {
+  if (clocks == Clocks::kGaussian) {
+    return sim::gaussian_population(clients, 60e-6, rng);
+  }
+  // Half Gumbel, half bimodal: every pair takes the numeric Δθ path.
+  const std::size_t gumbel = clients / 2;
+  const sim::Population a = sim::gumbel_population(gumbel, 60e-6, rng);
+  const sim::Population b =
+      sim::bimodal_population(clients - gumbel, 60e-6, rng);
+  std::vector<sim::ClientSpec> specs;
+  for (const sim::Population* population : {&a, &b}) {
+    for (const sim::ClientSpec& c : population->clients()) {
+      specs.push_back({ClientId(static_cast<std::uint32_t>(specs.size())),
+                       c.offset->clone()});
+    }
+  }
+  return sim::Population(std::move(specs));
+}
+
 Stream make_stream(std::uint64_t seed, std::size_t clients,
-                   std::size_t count) {
+                   std::size_t count, Clocks clocks = Clocks::kGaussian) {
   Rng rng(seed);
-  Stream s{sim::gaussian_population(clients, 60e-6, rng), {}, {}};
+  Stream s{population_of(clocks, clients, rng), {}, {}};
   const auto events = sim::poisson_workload(s.population.ids(), count,
                                             15_us, rng);
   auto observed = sim::materialize_messages(s.population, events,
@@ -152,8 +174,17 @@ void expect_identical_per_shard(const std::vector<Tagged>& actual,
 }
 
 TEST(ServiceThreadedTest, FourShardThreadedMatchesSequentialBitForBit) {
-  for (std::uint64_t seed : {101u, 202u, 303u}) {
-    const Stream s = make_stream(seed, 12, 700);
+  // On the Gumbel/bimodal stream the threaded constructor prefills every
+  // numeric gap, sharing the cells among several threads, while the
+  // sequential service fills each gap lazily on first query.
+  struct Input {
+    std::uint64_t seed;
+    Clocks clocks;
+  };
+  for (const auto [seed, clocks] :
+       {Input{101u, Clocks::kGaussian}, Input{202u, Clocks::kGaussian},
+        Input{303u, Clocks::kGaussian}, Input{404u, Clocks::kGumbelBimodal}}) {
+    const Stream s = make_stream(seed, 12, 700, clocks);
 
     ServiceConfig sequential;
     sequential.with_p_safe(0.995).with_shards(4);

@@ -314,6 +314,14 @@ void run_failover(std::uint32_t node_count, Fault fault, std::uint64_t seed) {
   ASSERT_TRUE(subscriber.wait_for_released(oracle.size(), 20000))
       << "subscriber stalled at " << subscriber.released_count() << "/"
       << oracle.size();
+  // A replica killed late may already have delivered every record, so
+  // the subscriber can hold the whole stream before its asynchronous
+  // re-attach (the one a cutover counts) lands: wait for that attach.
+  ASSERT_TRUE(eventually(
+      [&] { return subscriber.stats().cutovers >= expected_cutovers; },
+      10000))
+      << "subscriber made " << subscriber.stats().cutovers << " of "
+      << expected_cutovers << " cutovers";
   const auto spliced = captured_of(subscriber.released());
   expect_equivalent(oracle, spliced);
 
