@@ -230,7 +230,9 @@ int run_shard(const Args& args) {
   config.node = args.node;
   config.frontend = modeled_frontend();
   dist::ShardNode node(registry, topology.partition(args.node), config);
-  if (!node.listen_uplink_unix(indexed_path(args.uplink_prefix, args.node))) {
+  if (!node.listen_uplink(net::Endpoint{
+          .unix_path = indexed_path(args.uplink_prefix, args.node),
+          .tcp_port = 0})) {
     std::fprintf(stderr, "shard %u: uplink listen failed\n", args.node);
     return 1;
   }
@@ -281,7 +283,9 @@ int run_merge(const Args& args) {
     return 1;
   }
   for (std::uint32_t n = 0; n < args.nodes; ++n) {
-    if (!merge.connect_unix(n, indexed_path(args.uplink_prefix, n))) {
+    if (!merge.connect(
+            n, net::Endpoint{.unix_path = indexed_path(args.uplink_prefix, n),
+                             .tcp_port = 0})) {
       std::fprintf(stderr, "merge: cannot reach shard %u uplink\n", n);
       return 1;
     }
@@ -390,7 +394,7 @@ int run_router(const Args& args) {
   }
   dist::RouterNode router(
       dist::Topology(std::move(endpoints), ids(args.clients)));
-  if (!router.listen_unix(args.listen)) {
+  if (!router.listen(net::Endpoint{.unix_path = args.listen, .tcp_port = 0})) {
     std::fprintf(stderr, "router: listen failed on %s\n",
                  args.listen.c_str());
     return 1;
@@ -459,18 +463,20 @@ int run_demo(const Args& args) {
     config.frontend = modeled_frontend();
     nodes[n] = std::make_unique<dist::ShardNode>(
         registries[n], topology.partition(n), config);
-    if (!nodes[n]->listen_ingest_unix(endpoints[n].ingest.unix_path)
-        || !nodes[n]->listen_uplink_unix(endpoints[n].uplink.unix_path)) {
+    if (!nodes[n]->listen_ingest(endpoints[n].ingest)
+        || !nodes[n]->listen_uplink(endpoints[n].uplink)) {
       std::fprintf(stderr, "shard %u: listen failed\n", n);
       return 1;
     }
   }
   dist::RouterNode router(topology);
   const std::string router_path = prefix + "_router.sock";
-  if (!router.listen_unix(router_path)) return 1;
+  if (!router.listen(net::Endpoint{.unix_path = router_path, .tcp_port = 0})) {
+    return 1;
+  }
   dist::MergeNode merge(args.nodes);
   for (std::uint32_t n = 0; n < args.nodes; ++n) {
-    if (!merge.connect_unix(n, endpoints[n].uplink.unix_path)) {
+    if (!merge.connect(n, endpoints[n].uplink)) {
       std::fprintf(stderr, "merge: uplink %u unreachable\n", n);
       return 1;
     }
@@ -482,7 +488,9 @@ int run_demo(const Args& args) {
   std::atomic<int> client_failures{0};
   for (std::uint32_t c = 0; c < args.clients; ++c) {
     clients.emplace_back([&, c] {
-      auto stream = net::connect_unix(router_path, net::RetryPolicy{});
+      auto stream = net::dial(
+          net::Endpoint{.unix_path = router_path, .tcp_port = 0},
+          net::RetryPolicy{});
       if (stream == nullptr
           || net::perform_handshake(
                  *stream,
@@ -644,7 +652,7 @@ int run_failover_demo(const Args& args) {
     config.frontend = modeled_frontend();
     nodes[n] = std::make_unique<dist::ShardNode>(
         registries[n], topology.partition(n), config);
-    if (!nodes[n]->listen_uplink_unix(endpoints[n].uplink.unix_path)) {
+    if (!nodes[n]->listen_uplink(endpoints[n].uplink)) {
       std::fprintf(stderr, "shard %u: uplink listen failed\n", n);
       return 1;
     }
@@ -661,7 +669,7 @@ int run_failover_demo(const Args& args) {
     auto merge = std::make_unique<dist::MergeNode>(args.nodes);
     if (!merge->listen_downlink_unix(downlink)) return nullptr;
     for (std::uint32_t n = 0; n < args.nodes; ++n) {
-      if (!merge->connect_unix(n, endpoints[n].uplink.unix_path)) {
+      if (!merge->connect(n, endpoints[n].uplink)) {
         return nullptr;
       }
     }

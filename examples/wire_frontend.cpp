@@ -46,7 +46,8 @@ int main() {
 
   // The demo models the network as a fixed 0.5 ms delivery delay, so the
   // arrival clock is a pure function of each message — a replayable run.
-  // Production would leave arrival_clock unset (monotonic wall clock).
+  // Production would leave arrival_clock unset: net::system_clock_now(),
+  // epoch seconds, the clock wire clients stamp in.
   constexpr Duration kDelay = Duration(0.5e-3);
   net::FrontendConfig frontend_config;
   frontend_config.arrival_clock = [kDelay](const net::WireMessage& m) {

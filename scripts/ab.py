@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Parent-versus-change comparison on one livebench workload.
+"""Parent-versus-change comparison on one livebench workload or bench.
 
     python3 scripts/ab.py --base REV --workload W [--pairs 10] [--seed0 N]
                           [--claim METRIC]
+    python3 scripts/ab.py --base REV --bench TARGET --filter RE
+                          [--pairs 10] [--min-time S]
 
 Exports REV with `git archive` into a temporary directory (the parent
 side) and compares it with this checkout (the change side). Refuses to
@@ -27,12 +29,25 @@ other metric gets one verdict against its BENCHMARK.json bound:
 
 Exits 1 if any run fails its checks (and prints that run's FAILED
 lines), or if the claim is not met.
+
+With --bench, the comparison is over the rows of one benchmark binary
+(a bench/ target, e.g. bench_throughput) instead. Each tree builds
+TARGET as Release in its own temporary build directory; the pairs run
+both binaries with --benchmark_filter=RE (and --benchmark_min_time=S
+when given), reading each run's --benchmark_out JSON, again alternating
+which side runs first. Per row it prints each side's median and
+quartiles of items_per_second (real_time for rows without a rate) and
+the change's win count. A row is "better" or "worse" only when every
+change run beats, or loses to, every parent run; otherwise it is
+"within noise". Rows found on one side only are listed as added or
+removed. Exits 1 when a build or a benchmark binary fails.
 """
 
 import argparse
 import io
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -148,20 +163,128 @@ def claim_verdict(metric, parent_runs, change_runs, wins, pairs):
                  f"vs parent IQR {iqr:.6g}")
 
 
+def build_bench(root, target, build_dir):
+    """Builds `target` as Release from `root` into `build_dir`; returns the
+    binary, or None (after printing the tail of the log) on failure."""
+    steps = (["cmake", "-B", str(build_dir), "-S", str(root),
+              "-DCMAKE_BUILD_TYPE=Release", "-DTOMMY_BUILD_TESTS=OFF",
+              "-DTOMMY_BUILD_EXAMPLES=OFF"],
+             ["cmake", "--build", str(build_dir), "--target", target,
+              "-j", str(os.cpu_count() or 1)])
+    for cmd in steps:
+        out = subprocess.run(cmd, capture_output=True, text=True)
+        if out.returncode != 0:
+            print(f"ab: {' '.join(cmd)} failed:\n"
+                  + (out.stdout + out.stderr)[-2000:], file=sys.stderr)
+            return None
+    return build_dir / target
+
+
+def run_bench(binary, args, out_path):
+    """One pass of the binary; returns {row name: (value, higher is
+    better)} or None when the binary fails."""
+    cmd = [str(binary), f"--benchmark_filter={args.filter}",
+           f"--benchmark_out={out_path}", "--benchmark_out_format=json"]
+    if args.min_time is not None:
+        cmd.append(f"--benchmark_min_time={args.min_time}")
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    if out.returncode != 0 or not Path(out_path).is_file():
+        print(f"ab: {' '.join(cmd)} exited {out.returncode}:\n"
+              + out.stderr.strip()[-1000:], file=sys.stderr)
+        return None
+    rows = {}
+    for row in json.loads(Path(out_path).read_text())["benchmarks"]:
+        if row.get("run_type", "iteration") != "iteration":
+            continue
+        if "items_per_second" in row:
+            rows[row["name"]] = (row["items_per_second"], True)
+        else:
+            rows[row["name"]] = (row["real_time"], False)
+    return rows
+
+
+def bench_main(args):
+    """The --bench mode: row-by-row comparison of one benchmark binary."""
+    with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
+        tmp = Path(tmp)
+        roots = {"parent": tmp / "parent", "change": ROOT}
+        export(args.base, roots["parent"])
+        binaries = {}
+        for side in SIDES:
+            binaries[side] = build_bench(roots[side], args.bench,
+                                         tmp / f"build-{side}")
+            if binaries[side] is None:
+                return 1
+        # values[side][row] = per-pair values; rate[row] = higher is better
+        values = {side: {} for side in SIDES}
+        rate = {}
+        for k in range(args.pairs):
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            for side in order:
+                rows = run_bench(binaries[side], args, tmp / f"{side}.json")
+                if rows is None:
+                    return 1
+                for name, (value, higher) in rows.items():
+                    values[side].setdefault(name, []).append(value)
+                    rate[name] = higher
+            print(f"pair {k + 1}/{args.pairs} done", flush=True)
+
+    both = [n for n in values["parent"] if n in values["change"]]
+    print(f"\n{args.bench} --benchmark_filter={args.filter}, base "
+          f"{args.base}, {args.pairs} pair(s)")
+    print(f"{'row':44s} {'metric':16s} {'parent median [Q1, Q3]':32s} "
+          f"{'change median [Q1, Q3]':32s} {'wins':6s} verdict")
+    for name in both:
+        p_runs, c_runs = values["parent"][name], values["change"][name]
+        higher = rate[name]
+        beats = (lambda c, p: c > p) if higher else (lambda c, p: c < p)
+        wins = sum(beats(c, p) for p, c in zip(p_runs, c_runs))
+        if all(beats(c, p) for c in c_runs for p in p_runs):
+            text = "better"
+        elif all(beats(p, c) for c in c_runs for p in p_runs):
+            text = "worse"
+        else:
+            text = "within noise"
+        cells = []
+        for runs in (p_runs, c_runs):
+            q1, med, q3 = quartiles(runs)
+            cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
+        metric = "items_per_second" if higher else "real_time"
+        print(f"{name:44s} {metric:16s} {cells[0]:32s} {cells[1]:32s} "
+              f"{f'{wins}/{len(p_runs)}':6s} {text}")
+    for side, label in (("parent", "removed"), ("change", "added")):
+        other = "change" if side == "parent" else "parent"
+        for name in values[side]:
+            if name not in values[other]:
+                print(f"{name:44s} {label} (only in the {side} tree)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent revision")
-    parser.add_argument("--workload", required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="livebench workload")
+    mode.add_argument("--bench", metavar="TARGET",
+                      help="benchmark binary target, e.g. bench_throughput")
+    parser.add_argument("--filter", metavar="RE",
+                        help="--benchmark_filter regex (with --bench)")
+    parser.add_argument("--min-time", metavar="S",
+                        help="--benchmark_min_time (with --bench)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--claim", help="end-to-end metric claimed better")
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if args.bench is not None:
+        if args.filter is None:
+            parser.error("--bench needs --filter")
+        return bench_main(args)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim must be one of {', '.join(metrics)}")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
         roots = {"parent": Path(tmp), "change": ROOT}

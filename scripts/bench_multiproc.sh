@@ -28,7 +28,8 @@
 #                  bench_throughput_json.sh)
 #   MP_CLIENTS     client process count        (default 4)
 #   MP_MESSAGES    messages per client         (default 50000)
-#   MP_THREADS     1 = threaded service        (default 0)
+#   MP_THREADS     1 = threaded service on every row (serve --threads;
+#                  default 0, the sequential service)
 #   MP_SHARDS      shard count                 (default 1)
 #   MP_POLLERS     poller threads, every row   (default 2; a single
 #                  sequential service serializes ingest behind one lock,
@@ -98,14 +99,14 @@ SERVER_PID=""
 # against deleted temp paths.
 trap '[[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null; rm -f "$SOCK" "$OUT" "$OUT_E100" "$OUT_E1K"' EXIT
 
+# Arguments every serve process shares, whatever the row.
+COMMON_SERVE_ARGS=(--shards "$SHARDS" --pollers "$POLLERS")
+if [[ "$THREADS" == "1" ]]; then COMMON_SERVE_ARGS+=(--threads); fi
+
 # ── Row 1: one blast process per client ──────────────────────────────────
 EXPECT=$((CLIENTS * MESSAGES))
-SERVE_ARGS=(serve --unix "$SOCK" --clients "$CLIENTS"
-            --expect-submits "$EXPECT" --shards "$SHARDS"
-            --pollers "$POLLERS" --json "$OUT")
-if [[ "$THREADS" == "1" ]]; then SERVE_ARGS+=(--threads); fi
-
-"$BIN" "${SERVE_ARGS[@]}" &
+"$BIN" serve --unix "$SOCK" --clients "$CLIENTS" \
+    --expect-submits "$EXPECT" "${COMMON_SERVE_ARGS[@]}" --json "$OUT" &
 SERVER_PID=$!
 
 CLIENT_PIDS=()
@@ -119,15 +120,14 @@ SERVER_PID=""
 
 # ── Rows 2+3: C=100 and C=1000 connections ──────────────────────────────
 # One blast process drives all C sockets round-robin; the server runs
-# $POLLERS poller threads.
+# $POLLERS poller threads, threaded or not exactly as row 1.
 run_epoll_row() {
   local connections="$1" per_conn="$2" out="$3"
   local sock expect
   sock="$(mktemp -u /tmp/tommy_mp_XXXXXX.sock)"
   expect=$((connections * per_conn))
   "$BIN" serve --unix "$sock" --clients "$connections" \
-      --expect-submits "$expect" --shards "$SHARDS" \
-      --pollers "$POLLERS" --json "$out" &
+      --expect-submits "$expect" "${COMMON_SERVE_ARGS[@]}" --json "$out" &
   SERVER_PID=$!
   "$BIN" blast --unix "$sock" --client 0 --connections "$connections" \
       --messages "$per_conn"

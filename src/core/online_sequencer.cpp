@@ -93,16 +93,6 @@ void OnlineSequencer::init_expected_clients() {
   unheard_count_ = clients_.size();
   heap_.reserve(clients_.size());
   heap_pos_.assign(clients_.size(), kNotInHeap);
-  session_table_.reserve(clients_.size());
-  for (const ClientState& state : clients_) {
-    Session session;
-    session.sequencer_ = this;
-    session.client_ = state.id;
-    session.cindex_ = state.cindex;
-    session.slot_ = slot_by_cindex_[state.cindex];
-    refresh_session(session);
-    session_table_.push_back(session);
-  }
 }
 
 void OnlineSequencer::register_client(ClientId client) {
@@ -121,13 +111,6 @@ void OnlineSequencer::register_client(ClientId client) {
   clients_.push_back(state);
   ++unheard_count_;
   heap_pos_.push_back(kNotInHeap);
-  Session session;
-  session.sequencer_ = this;
-  session.client_ = client;
-  session.cindex_ = cindex;
-  session.slot_ = slot;
-  refresh_session(session);
-  session_table_.push_back(session);
 }
 
 std::uint64_t OnlineSequencer::current_generation() const {
@@ -153,10 +136,13 @@ void OnlineSequencer::refresh_session(Session& session) const {
 
 OnlineSequencer::Session OnlineSequencer::open_session(ClientId client) {
   maybe_reprime();  // a fresh handle starts from current tables
-  Session session = session_table_[slot_of(client)];
-  if (session.generation_ != current_generation()) {
-    refresh_session(session);
-  }
+  const std::uint32_t slot = slot_of(client);
+  Session session;
+  session.sequencer_ = this;
+  session.client_ = clients_[slot].id;
+  session.cindex_ = clients_[slot].cindex;
+  session.slot_ = slot;
+  refresh_session(session);
   return session;
 }
 
@@ -290,17 +276,6 @@ void OnlineSequencer::session_heartbeat(Session& session,
   state.high_water = std::max(state.high_water, local_stamp);
   state.last_heard = std::max(state.last_heard, now);
   touch_client(state);
-}
-
-void OnlineSequencer::on_message(const Message& m) {
-  // Thin wrapper: route through the internal session table (one hash).
-  session_submit(session_table_[slot_of(m.client)], m.stamp, m.id, m.arrival,
-                 /*relaxed=*/false);
-}
-
-void OnlineSequencer::on_heartbeat(ClientId c, TimePoint local_stamp,
-                                   TimePoint now) {
-  session_heartbeat(session_table_[slot_of(c)], local_stamp, now);
 }
 
 void OnlineSequencer::refresh_entry(Buffered& entry) const {

@@ -30,10 +30,10 @@
 // safe-emission offsets once at open, so `session.submit(...)` and
 // `session.heartbeat(...)` touch no hash map at all: the only per-message
 // work beyond the buffer insert is one generation-counter compare (which
-// detects registry re-announces and refreshes the cached offsets). The
-// original `on_message` / `on_heartbeat` entry points are retained as
-// thin wrappers over an internal session table; they cost one ClientId
-// hash per call for the table lookup. Prefer sessions in new code.
+// detects registry re-announces and refreshes the cached offsets).
+// Sessions are the only ingest surface: `open_session` builds the handle
+// from the client's gate slot, and a caller that has only a ClientId per
+// message keeps one handle per client.
 //
 // ── Hot-path design (critical gaps + incremental closure) ───────────────
 //
@@ -82,8 +82,7 @@
 // `OnlineConfig::reference_mode` retains the naive implementation —
 // from-scratch O(n²) closure per poll, per-query probability evaluation —
 // as the semantic reference; the randomized equivalence tests assert the
-// two modes emit bit-identical batch sequences (and that the session API
-// is bit-identical to the legacy entry points in both modes).
+// two modes emit bit-identical batch sequences.
 #pragma once
 
 #include <cstdint>
@@ -162,8 +161,7 @@ class OnlineSequencer {
     Session() = default;
 
     /// Ingests one message stamped `stamp` (the client's local clock at
-    /// generation) arriving at sequencer time `now`. Exactly equivalent
-    /// to on_message({id, client(), stamp, now}). `now` must be
+    /// generation) arriving at sequencer time `now`. `now` must be
     /// non-decreasing across the owning sequencer's ingests (FIFO
     /// channels deliver in order).
     void submit(TimePoint stamp, MessageId id, TimePoint now);
@@ -237,15 +235,6 @@ class OnlineSequencer {
   /// expected clients — anything else is a precondition failure). May be
   /// called repeatedly; handles are independent and all stay valid.
   [[nodiscard]] Session open_session(ClientId client);
-
-  /// Ingests a message; `m.arrival` must be the current sequencer time
-  /// (non-decreasing across calls — FIFO channels deliver in order).
-  /// Deprecated in favour of Session::submit (one extra hash per call).
-  void on_message(const Message& m);
-
-  /// Ingests a heartbeat carrying client `c`'s local stamp.
-  /// Deprecated in favour of Session::heartbeat (one extra hash per call).
-  void on_heartbeat(ClientId c, TimePoint local_stamp, TimePoint now);
 
   /// Attempts emissions at sequencer time `now`; returns every batch that
   /// became safe, in rank order.
@@ -355,11 +344,11 @@ class OnlineSequencer {
 
   void init_expected_clients();
   /// Adds one client to the expected set mid-life (rebind_engine): grows
-  /// slot_by_cindex_ / clients_ / heap_pos_ / session_table_. No-op for
-  /// clients already expected.
+  /// slot_by_cindex_ / clients_ / heap_pos_. No-op for clients already
+  /// expected.
   void register_client(ClientId client);
-  /// Completeness-gate slot of `client` — the one remaining hash on the
-  /// legacy entry points (registry id → dense index, then a flat array).
+  /// Completeness-gate slot of `client` — the hash open_session and
+  /// retire_client pay (registry id → dense index, then a flat array).
   /// Precondition: `client` is an expected client.
   [[nodiscard]] std::uint32_t slot_of(ClientId client) const;
   /// The generation sessions revalidate against: the live registry
@@ -458,9 +447,6 @@ class OnlineSequencer {
   /// unordered_map<ClientId, uint32_t> — the registry already assigns
   /// dense indices, so membership is one bounds check + one load.
   std::vector<std::uint32_t> slot_by_cindex_;
-  /// Internal session table backing the legacy on_message/on_heartbeat
-  /// wrappers; parallel to clients_.
-  std::vector<Session> session_table_;
 
   /// Reference-mode pending buffer: the retained naive sorted sequence
   /// (per-comparison corrected-stamp inserts). Unused in fast mode.

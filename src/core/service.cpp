@@ -33,20 +33,6 @@ constexpr int kSpinRoundsBeforePark = 256;
 /// buffer; fairness across a shard's lanes).
 constexpr std::size_t kDrainBudget = 256;
 
-/// Heap comparator for the kGlobalMerge holdback: "after" under the
-/// release order (safe_time, shard, rank), so std::push_heap/pop_heap —
-/// max-heap primitives — keep the NEXT record to release at the root.
-struct MergeAfter {
-  bool operator()(const std::pair<EmissionRecord, std::uint32_t>& lhs,
-                  const std::pair<EmissionRecord, std::uint32_t>& rhs) const {
-    if (lhs.first.safe_time != rhs.first.safe_time) {
-      return lhs.first.safe_time > rhs.first.safe_time;
-    }
-    if (lhs.second != rhs.second) return lhs.second > rhs.second;
-    return lhs.first.batch.rank > rhs.first.batch.rank;
-  }
-};
-
 }  // namespace
 
 // ── Threaded-mode plumbing ──────────────────────────────────────────────
@@ -641,47 +627,19 @@ const PrecedingEngine& FairOrderingService::engine() const {
   return *engine_;
 }
 
-void FairOrderingService::submit(const Message& m) {
-  TOMMY_EXPECTS(!threading_);  // threaded mode is session-only
-  shards_[shard_of(m.client)]->on_message(m);
-}
-
-void FairOrderingService::heartbeat(ClientId client, TimePoint local_stamp,
-                                    TimePoint now) {
-  TOMMY_EXPECTS(!threading_);  // threaded mode is session-only
-  shards_[shard_of(client)]->on_heartbeat(client, local_stamp, now);
-}
-
-void FairOrderingService::hold_back(EmissionRecord&& record,
-                                    std::uint32_t shard) {
-  holdback_.emplace_back(std::move(record), shard);
-  std::push_heap(holdback_.begin(), holdback_.end(), MergeAfter{});
-}
-
 std::size_t FairOrderingService::release_merged(TimePoint min_next_safe,
                                                 bool release_all,
                                                 EmissionSink& sink) {
-  // The holdback is a min-heap on (safe_time, shard, rank); keys are
-  // unique ((shard, rank) is — each shard's ranks are strictly
-  // increasing), so popping while the root clears the gate releases in
-  // exactly the order the former whole-holdback stable_sort produced, at
-  // O(released · log H) per round instead of O(H log H).
-  std::size_t released = 0;
-  while (!holdback_.empty()) {
-    const auto& [record, shard_tag] = holdback_.front();
-    // Strictly earlier than every shard's next pending batch. This is the
-    // best gate the shards can offer, not an absolute one — rank-blocked
-    // batches and stragglers landing on currently-empty shards can still
-    // emit behind records released here (both caveats documented on
-    // DrainPolicy, both bounded by the p_safe machinery).
-    if (!release_all && !(record.safe_time < min_next_safe)) break;
-    std::pop_heap(holdback_.begin(), holdback_.end(), MergeAfter{});
-    sink.on_emission(std::move(holdback_.back().first),
-                     holdback_.back().second);
-    holdback_.pop_back();
-    ++released;
-  }
-  return released;
+  // Strictly earlier than every shard's next pending batch. This is the
+  // best gate the shards can offer, not an absolute one — rank-blocked
+  // batches and stragglers landing on currently-empty shards can still
+  // emit behind records released here (both caveats documented on
+  // DrainPolicy, both bounded by the p_safe machinery).
+  return holdback_.release(
+      min_next_safe, release_all,
+      [&sink](const MergeKey& key, EmissionRecord&& record) {
+        sink.on_emission(std::move(record), key.source);
+      });
 }
 
 std::size_t FairOrderingService::drain_sequential(TimePoint now,
@@ -701,7 +659,8 @@ std::size_t FairOrderingService::drain_sequential(TimePoint now,
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     if (!shards_[s]) continue;
     auto collect = [this, s](EmissionRecord&& record, std::uint32_t) {
-      hold_back(std::move(record), s);
+      const MergeKey key{record.safe_time, s, record.batch.rank};
+      holdback_.push(key, std::move(record));
     };
     CallbackSink<decltype(collect)> collector(collect);
     if (flush_all) {
@@ -741,7 +700,8 @@ std::size_t FairOrderingService::drain_threaded(TimePoint now, bool flush_all,
         sink.on_emission(std::move(record), s);
         ++delivered;
       } else {
-        hold_back(std::move(record), s);
+        const MergeKey key{record.safe_time, s, record.batch.rank};
+        holdback_.push(key, std::move(record));
       }
     }
   }
@@ -838,8 +798,8 @@ std::size_t FairOrderingService::fairness_violations() const {
 std::size_t FairOrderingService::held_back_count() const {
   auto count = [this] {
     std::size_t messages = 0;
-    for (const auto& [record, shard] : holdback_) {
-      messages += record.batch.messages.size();
+    for (const auto& held : holdback_) {
+      messages += held.record.batch.messages.size();
     }
     return messages;
   };

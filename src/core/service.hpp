@@ -19,11 +19,16 @@
 //    price of horizontal scale, and the router exists precisely so that
 //    keys whose relative order matters can be routed to the same shard.
 //    `DrainPolicy::kGlobalMerge` offers a single merged stream for
-//    consumers that need one, gated on min(next_safe_time) across shards.
+//    consumers that need one, gated on min(next_safe_time) across shards
+//    and released in MergeKey order (core/merge_holdback.hpp — the same
+//    order the dist tier's MergeNode releases in).
 //  * All shards share ONE PrecedingEngine, primed once: the flat
 //    critical-gap/offset tables and Δθ density cache are read-mostly
 //    derived state of the registry, identical for every shard, so
 //    sharing them makes shard count a memory no-op for the engine.
+//  * Sessions are the only ingest surface: open_session(client) routes
+//    once, and every submit/heartbeat after that goes straight to the
+//    client's shard (or its ingest ring, in threaded mode).
 //  * Emission is sink-style: poll(now, sink) hands each emitted batch to
 //    the sink exactly once (rvalue, no intermediate vectors), tagged with
 //    the emitting shard's index.
@@ -46,8 +51,6 @@
 // service's — the randomized equivalence tests assert exactly that.
 //
 // Threaded-mode contract (checked or documented):
-//  * sessions are the only ingest surface (the routed legacy
-//    submit/heartbeat entry points are a precondition failure);
 //  * one thread per session handle; different sessions may live on
 //    different threads freely (that is the point);
 //  * poll/flush/next_safe_time/pending_count/fairness_violations are
@@ -112,6 +115,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/merge_holdback.hpp"
 #include "core/online_sequencer.hpp"
 
 namespace tommy::core {
@@ -164,7 +168,7 @@ enum class DrainPolicy {
   /// order produces. Zero added latency.
   kShardLocal,
   /// One merged stream: records are held back and released in ascending
-  /// (safe_time T_b, shard, rank) order, a record leaving only once
+  /// MergeKey (safe_time T_b, shard, rank) order, a record leaving only once
   /// min(next_safe_time) over all shards has passed its T_b — i.e. once
   /// every shard's next pending batch is provably later. Consumers that
   /// need one total stream trade emission latency (up to one batch per
@@ -391,12 +395,6 @@ class FairOrderingService {
   /// open_session + submit for the same client revives it.
   void close_session(Session& session);
 
-  /// Routed legacy-style ingest (one hash for the shard lookup plus the
-  /// shard's own table hash). Prefer sessions on hot paths. Sequential
-  /// mode only — a precondition failure under worker_threads.
-  void submit(const Message& m);
-  void heartbeat(ClientId client, TimePoint local_stamp, TimePoint now);
-
   /// Drains every shard's safe batches into `sink` (shard-tagged; order
   /// per the configured DrainPolicy). Returns the number of batches
   /// handed to the sink by this call. In threaded mode this is a
@@ -483,8 +481,6 @@ class FairOrderingService {
   /// the emission queues.
   std::size_t drain_threaded(TimePoint now, bool flush_all,
                              EmissionSink& sink);
-  /// Pushes one emitted record into the kGlobalMerge holdback heap.
-  void hold_back(EmissionRecord&& record, std::uint32_t shard);
   /// Releases held-back records (kGlobalMerge) whose safe_time has been
   /// passed by `min_next_safe`; everything when `release_all`.
   std::size_t release_merged(TimePoint min_next_safe, bool release_all,
@@ -531,12 +527,9 @@ class FairOrderingService {
   std::atomic<std::uint64_t> primed_generation_{0};
   std::atomic<std::uint64_t> epoch_{0};
   Reconfig reconfig_;
-  /// kGlobalMerge holdback: emitted records not yet released, with their
-  /// shard tags, as a binary min-heap on (safe_time, shard, rank) — a
-  /// release round pops the released prefix in O(released · log H)
-  /// instead of re-sorting the whole holdback. (shard, rank) is unique,
-  /// so pop order equals the fully-sorted order.
-  std::vector<std::pair<EmissionRecord, std::uint32_t>> holdback_;
+  /// kGlobalMerge holdback: emitted records not yet released, keyed by
+  /// (safe_time, shard, rank).
+  MergeHoldback<EmissionRecord> holdback_;
   /// Threaded-mode state (workers, rings, mailboxes); null in sequential
   /// mode.
   std::unique_ptr<Threading> threading_;

@@ -11,22 +11,6 @@
 
 namespace tommy::dist {
 
-namespace {
-
-/// Heap comparator for the holdback min-heap: "after" under the release
-/// order (safe_time, node, rank), so std::push_heap/pop_heap — max-heap
-/// primitives — keep the NEXT record to release at the root.
-struct HoldbackAfter {
-  bool operator()(const net::OrderedBatch& lhs,
-                  const net::OrderedBatch& rhs) const {
-    if (lhs.safe_time != rhs.safe_time) return lhs.safe_time > rhs.safe_time;
-    if (lhs.node != rhs.node) return lhs.node > rhs.node;
-    return lhs.rank > rhs.rank;
-  }
-};
-
-}  // namespace
-
 const char* to_string(MergeError error) {
   switch (error) {
     case MergeError::kNone:
@@ -62,11 +46,9 @@ const char* to_string(MergePeerState state) {
 MergeNode::MergeNode(std::uint32_t node_count, MergeConfig config)
     : config_(std::move(config)),
       peers_(node_count),
-      downlink_(
-          [this](std::shared_ptr<net::ByteStream> stream) {
-            subscribe_downlink(std::move(stream));
-          },
-          config_.backlog) {
+      downlink_([this](std::shared_ptr<net::ByteStream> stream) {
+        subscribe_downlink(std::move(stream));
+      }) {
   TOMMY_EXPECTS(node_count > 0);
   if (config_.staleness_budget.count() > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -80,14 +62,6 @@ bool MergeNode::connect(std::uint32_t node, const net::Endpoint& endpoint) {
   if (stream == nullptr) return false;
   attach(node, std::move(stream));
   return true;
-}
-
-bool MergeNode::connect_unix(std::uint32_t node, const std::string& path) {
-  return connect(node, net::Endpoint{.unix_path = path, .tcp_port = 0});
-}
-
-bool MergeNode::connect_tcp(std::uint32_t node, std::uint16_t port) {
-  return connect(node, net::Endpoint{.unix_path = {}, .tcp_port = port});
 }
 
 void MergeNode::attach(std::uint32_t node,
@@ -186,8 +160,8 @@ void MergeNode::handle_locked(std::uint32_t node, net::WireMessage&& message) {
       return;
     }
     ++peer.accepted;
-    holdback_.push_back(std::move(*batch));
-    std::push_heap(holdback_.begin(), holdback_.end(), HoldbackAfter{});
+    const core::MergeKey key = merge_key(*batch);
+    holdback_.push(key, std::move(*batch));
     return;
   }
   if (auto* announce = std::get_if<net::SafeTimeAnnounce>(&message)) {
@@ -227,27 +201,12 @@ TimePoint MergeNode::gate_locked() const {
 }
 
 std::size_t MergeNode::release_locked(TimePoint gate, bool release_all) {
-  // The holdback is a min-heap on (safe_time, node, rank): pop while the
-  // root clears the gate. Keys are unique ((node, rank) is — accepted
-  // ranks are strictly increasing per peer), so the pop sequence is
-  // exactly the (safe_time, node, rank)-sorted order the former
-  // whole-holdback stable_sort produced, at O(released · log H) per round
-  // instead of O(H log H).
   const std::size_t before = released_.size();
-  std::size_t released = 0;
-  while (released < holdback_.size()) {
-    if (!release_all && !(holdback_.front().safe_time < gate)) break;
-    std::pop_heap(holdback_.begin(),
-                  holdback_.end() - static_cast<std::ptrdiff_t>(released),
-                  HoldbackAfter{});
-    ++released;
-  }
-  // pop_heap parks each popped minimum just past the shrinking heap end,
-  // so the tail holds the release in reverse: drain it back-to-front.
-  for (std::size_t k = 0; k < released; ++k) {
-    released_.push_back(std::move(holdback_.back()));
-    holdback_.pop_back();
-  }
+  const std::size_t released = holdback_.release(
+      gate, release_all,
+      [this](const core::MergeKey&, net::OrderedBatch&& batch) {
+        released_.push_back(std::move(batch));
+      });
   if (released > 0) publish_released_locked(before);
   return released;
 }

@@ -1,11 +1,16 @@
 // The merge tier: subscribes to N shard-node uplinks as a frame client,
 // runs the cross-node holdback, and releases the one global stream —
-// records leaving in ascending (safe_time T_b, node, rank) order, a
-// record released only once min(next_safe_time) over the peer frontiers
-// has strictly passed its T_b. This is FairOrderingService::
-// release_merged lifted across processes: the same comparator, the same
-// strict gate, the same two caveats (rank-blocked batches, empty-shard
-// stragglers) bounding the total-order claim.
+// records leaving in ascending MergeKey (safe_time T_b, node, rank)
+// order, a record released only once min(next_safe_time) over the peer
+// frontiers has strictly passed its T_b. The holdback is the same
+// core::MergeHoldback the in-process kGlobalMerge drain runs: one key,
+// one strict gate, and the same two caveats (rank-blocked batches,
+// empty-shard stragglers) bounding the total-order claim. merge_key()
+// below maps the wire records onto that key.
+//
+// Peers are dialed with connect(node, Endpoint) or handed over already
+// open with attach(); the downlink listens with listen_downlink_unix /
+// listen_downlink_tcp or through downlink().listen(Endpoint).
 //
 // Frontier rule (liveness under faults): every configured peer always
 // contributes to the gate. A peer contributes −infinity — blocking all
@@ -51,6 +56,7 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "core/merge_holdback.hpp"
 #include "net/acceptor.hpp"
 #include "net/messages.hpp"
 
@@ -76,12 +82,24 @@ enum class MergeError : std::uint8_t {
 
 [[nodiscard]] const char* to_string(MergeError error);
 
+/// Release position of a wire batch: (safe_time, node, rank).
+[[nodiscard]] inline core::MergeKey merge_key(const net::OrderedBatch& batch) {
+  return core::MergeKey{batch.safe_time, batch.node, batch.rank};
+}
+
+/// The cursor a watermark names, on the same key. Epoch is deliberately
+/// absent from both: replicas may hold different-epoch copies of the same
+/// record after a shard restart, and the record is bit-identical either
+/// way.
+[[nodiscard]] inline core::MergeKey merge_key(
+    const net::MergeWatermark& watermark) {
+  return core::MergeKey{watermark.safe_time, watermark.node, watermark.rank};
+}
+
 struct MergeConfig {
   std::size_t max_frame_bytes{net::kDefaultMaxFrameBytes};
-  /// Backoff budget for connect_unix / connect_tcp dials.
+  /// Backoff budget for connect() dials.
   net::RetryPolicy retry{};
-  /// listen(2) backlog for the downlink socket.
-  int backlog{128};
   /// Stall watchdog: a connected peer silent for longer than this is
   /// flagged `stalled` in its stats (observability ONLY — a stalled
   /// peer keeps its last announced frontier, the gate never speculates
@@ -151,11 +169,6 @@ class MergeNode {
   [[nodiscard]] bool connect(std::uint32_t node,
                              const net::Endpoint& endpoint);
 
-  /// Deprecated per-transport spellings of connect().
-  [[nodiscard]] bool connect_unix(std::uint32_t node,
-                                  const std::string& path);
-  [[nodiscard]] bool connect_tcp(std::uint32_t node, std::uint16_t port);
-
   /// Attaches an already-open uplink stream to peer slot `node` and
   /// spawns its reader. Precondition: the slot is not currently
   /// connected.
@@ -181,8 +194,8 @@ class MergeNode {
   [[nodiscard]] net::MergeWatermark watermark() const;
 
   /// Releases every held record the gate allows (strictly below
-  /// min(next_safe) over the peer frontiers), in (safe_time, node, rank)
-  /// order, appending to the released log. Returns the number released.
+  /// min(next_safe) over the peer frontiers), in MergeKey order,
+  /// appending to the released log. Returns the number released.
   std::size_t release();
 
   /// Releases everything held regardless of the gate (shutdown drain —
@@ -249,13 +262,8 @@ class MergeNode {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<Peer> peers_;
-  /// Held-back records: a binary min-heap on (safe_time, node, rank)
-  /// (std::push_heap/pop_heap with a greater-comparator), so a release
-  /// round pops the released prefix in O(released · log H) instead of
-  /// stable_sorting the entire holdback every round. (node, rank) is
-  /// unique — each peer's accepted ranks are strictly increasing — so
-  /// heap pop order is exactly the old full-sort order.
-  std::vector<net::OrderedBatch> holdback_;
+  /// Held-back records, keyed by merge_key().
+  core::MergeHoldback<net::OrderedBatch> holdback_;
   std::vector<net::OrderedBatch> released_;
 
   net::StreamAcceptor downlink_;

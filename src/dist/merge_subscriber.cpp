@@ -2,37 +2,14 @@
 
 #include <chrono>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <variant>
 
 #include "common/check.hpp"
+#include "dist/merge_node.hpp"
 #include "net/framing.hpp"
 
 namespace tommy::dist {
-
-namespace {
-
-/// The release cursor order: (safe_time, node, rank) — identical to the
-/// merge's release comparator, so cursor comparisons ARE release-position
-/// comparisons. Epoch is deliberately absent: replicas may hold
-/// different-epoch copies of the same record after a shard restart, and
-/// the record is bit-identical either way.
-[[nodiscard]] bool cursor_le(const net::MergeWatermark& lhs,
-                             const net::MergeWatermark& rhs) {
-  return std::tie(lhs.safe_time, lhs.node, lhs.rank)
-         <= std::tie(rhs.safe_time, rhs.node, rhs.rank);
-}
-
-[[nodiscard]] net::MergeWatermark cursor_of(const net::OrderedBatch& batch) {
-  net::MergeWatermark cursor;
-  cursor.node = batch.node;
-  cursor.rank = batch.rank;
-  cursor.safe_time = batch.safe_time;
-  return cursor;
-}
-
-}  // namespace
 
 const char* to_string(SubscriberError error) {
   switch (error) {
@@ -165,21 +142,25 @@ bool MergeSubscriber::consume(const std::shared_ptr<net::ByteStream>& stream) {
 
 bool MergeSubscriber::handle_locked(net::WireMessage&& message) {
   if (auto* batch = std::get_if<net::OrderedBatch>(&message)) {
-    const net::MergeWatermark cursor = cursor_of(*batch);
-    if (attach_cursor_.released > 0 && cursor_le(cursor, attach_cursor_)) {
+    // Cursor comparisons are release-position comparisons: the merge
+    // released in MergeKey order.
+    const core::MergeKey key = merge_key(*batch);
+    if (attach_cursor_.released > 0 && key <= merge_key(attach_cursor_)) {
       // The replayed prefix at or below the attach watermark.
       ++stats_.duplicates;
       return true;
     }
-    if (!released_.empty() && cursor_le(cursor, cursor_)) {
+    if (!released_.empty() && key <= merge_key(cursor_)) {
       // Above the attach watermark yet not above our cursor: this
       // replica's release order disagrees with what we already consumed.
       // Terminal — cutting over from corrupt data would launder it.
       stats_.error = SubscriberError::kOrderViolation;
       return false;
     }
+    cursor_.node = batch->node;
+    cursor_.rank = batch->rank;
+    cursor_.safe_time = batch->safe_time;
     released_.push_back(std::move(*batch));
-    cursor_ = cursor;
     cursor_.released = released_.size();
     return true;
   }

@@ -23,7 +23,6 @@ net::ServerConfig server_config_for(const ShardNodeConfig& config) {
   net::ServerConfig server;
   server.frontend = config.frontend;
   server.frontend.accept_new_clients = true;
-  server.backlog = config.backlog;
   return server;
 }
 
@@ -34,11 +33,9 @@ ShardNode::ShardNode(core::ClientRegistry& registry,
     : config_(std::move(config)),
       service_(registry, std::move(expected), service_config_for(config_)),
       server_(registry, service_, server_config_for(config_)),
-      uplink_(
-          [this](std::shared_ptr<net::ByteStream> stream) {
-            subscribe(std::move(stream));
-          },
-          config_.backlog) {}
+      uplink_([this](std::shared_ptr<net::ByteStream> stream) {
+        subscribe(std::move(stream));
+      }) {}
 
 ShardNode::~ShardNode() { stop(); }
 
@@ -51,10 +48,7 @@ std::size_t ShardNode::pump_flush(TimePoint now) {
 }
 
 TimePoint ShardNode::pump_now() const {
-  if (config_.pump_clock) return config_.pump_clock();
-  return TimePoint(std::chrono::duration<double>(
-                       std::chrono::system_clock::now().time_since_epoch())
-                       .count());
+  return config_.pump_clock ? config_.pump_clock() : net::system_clock_now();
 }
 
 void ShardNode::start_pump() {
@@ -94,7 +88,7 @@ void ShardNode::stop_pump() {
   }
   // The thread is gone, so this flush cannot race it — held batches and
   // one infinite-frontier announce drain to the uplink.
-  if (config_.flush_on_stop) pump_flush(pump_now());
+  pump_flush(pump_now());
 }
 
 bool ShardNode::pump_running() const {

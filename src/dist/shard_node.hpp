@@ -43,8 +43,15 @@
 // Self-clocking: start_pump() spawns an internal pump thread driving
 // pump(clock()) every pump_interval — the node keeps emitting and
 // announcing (advancing the merge frontier) without an external driver.
-// stop_pump() stops it cleanly and, by default, performs one final
-// pump_flush so held batches drain on shutdown.
+// stop_pump() stops it cleanly and performs one final pump_flush so held
+// batches drain on shutdown.
+//
+// Both sockets listen through one spelling each: listen_ingest(Endpoint)
+// and listen_uplink(Endpoint), with the endpoints straight from the
+// topology. The pump clock and the ingest front-end's arrival clock
+// default to the same function, net::system_clock_now(): the silence
+// timeout subtracts an arrival from a pump time, so the two must share
+// a domain, and it is the domain a wire client stamps in.
 #pragma once
 
 #include <chrono>
@@ -79,8 +86,6 @@ struct ShardNodeConfig {
   /// expected client's identical re-announce is idempotent in the
   /// registry, so service state stays oracle-equivalent.
   net::FrontendConfig frontend{};
-  /// listen(2) backlog for both sockets.
-  int backlog{128};
   /// Cap on the retained uplink replay backlog, in frames (0 =
   /// unbounded). Past the cap the oldest frames are truncated and any
   /// LATER subscriber is refused with a typed ReplayTruncated frame.
@@ -88,12 +93,12 @@ struct ShardNodeConfig {
   /// Cadence of the internal pump thread (start_pump). Zero means
   /// start_pump is a programming error — drive pump(now) externally.
   std::chrono::microseconds pump_interval{0};
-  /// Clock the pump thread stamps polls with; defaults to wall-clock
-  /// seconds (std::chrono::system_clock). Injectable for tests.
+  /// Clock the pump thread stamps polls with. Default (null):
+  /// net::system_clock_now(), the same clock the front-end's default
+  /// arrival_clock reads, so a default-clocked node compares arrivals
+  /// and poll times in one domain. Injectable for tests; a node that
+  /// injects one clock should inject the other in the same domain.
   std::function<TimePoint()> pump_clock{};
-  /// stop_pump() ends with one pump_flush(clock()) so held batches and a
-  /// final infinite-frontier announce drain to the uplink.
-  bool flush_on_stop{true};
 };
 
 class ShardNode {
@@ -110,27 +115,13 @@ class ShardNode {
   ShardNode(const ShardNode&) = delete;
   ShardNode& operator=(const ShardNode&) = delete;
 
-  /// Unified listen surface: one endpoint value per socket, straight
-  /// from the topology (NodeEndpoints is the same net::Endpoint type).
+  /// One endpoint value per socket, straight from the topology
+  /// (NodeEndpoints is the same net::Endpoint type).
   [[nodiscard]] bool listen_ingest(const net::Endpoint& endpoint) {
     return server_.listen(endpoint);
   }
   [[nodiscard]] bool listen_uplink(const net::Endpoint& endpoint) {
     return uplink_.listen(endpoint);
-  }
-
-  // Deprecated per-transport spellings (thin wrappers over the above).
-  [[nodiscard]] bool listen_ingest_unix(const std::string& path) {
-    return listen_ingest(net::Endpoint{.unix_path = path, .tcp_port = 0});
-  }
-  [[nodiscard]] bool listen_ingest_tcp(std::uint16_t port) {
-    return listen_ingest(net::Endpoint{.unix_path = {}, .tcp_port = port});
-  }
-  [[nodiscard]] bool listen_uplink_unix(const std::string& path) {
-    return listen_uplink(net::Endpoint{.unix_path = path, .tcp_port = 0});
-  }
-  [[nodiscard]] bool listen_uplink_tcp(std::uint16_t port) {
-    return listen_uplink(net::Endpoint{.unix_path = {}, .tcp_port = port});
   }
 
   /// Polls the service at `now`, publishes each emitted batch as one
@@ -149,8 +140,9 @@ class ShardNode {
   /// interval. Call once (stop_pump first to restart).
   void start_pump();
 
-  /// Stops the pump thread and joins it; if config.flush_on_stop, ends
-  /// with one pump_flush(clock()) so the uplink drains. Idempotent.
+  /// Stops the pump thread and joins it, then ends with one
+  /// pump_flush(clock()) so held batches and a final infinite-frontier
+  /// announce drain to the uplink. Idempotent.
   void stop_pump();
 
   [[nodiscard]] bool pump_running() const;

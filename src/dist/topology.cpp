@@ -60,21 +60,11 @@ RouterNode::RouterNode(Topology topology, RouterConfig config)
             return dial(announcement);
           },
           config_.max_frame_bytes),
-      acceptor_(
-          [this](std::shared_ptr<net::ByteStream> stream) {
-            relays_.adopt(std::move(stream));
-          },
-          config_.backlog) {}
+      acceptor_([this](std::shared_ptr<net::ByteStream> stream) {
+        relays_.adopt(std::move(stream));
+      }) {}
 
 RouterNode::~RouterNode() { stop(); }
-
-bool RouterNode::listen_unix(const std::string& path) {
-  return acceptor_.listen_unix(path);
-}
-
-bool RouterNode::listen_tcp(std::uint16_t port) {
-  return acceptor_.listen_tcp(port);
-}
 
 void RouterNode::stop() {
   acceptor_.stop();

@@ -97,7 +97,6 @@ struct RouterConfig {
   /// before dropping the client.
   net::RetryPolicy retry{};
   std::size_t max_frame_bytes{net::kDefaultMaxFrameBytes};
-  int backlog{128};
 };
 
 /// The thin router tier: one listening socket, one RelaySet. Every
@@ -113,12 +112,9 @@ class RouterNode {
   RouterNode(const RouterNode&) = delete;
   RouterNode& operator=(const RouterNode&) = delete;
 
-  /// Unified listen (deprecated per-transport spellings below).
   [[nodiscard]] bool listen(const net::Endpoint& endpoint) {
     return acceptor_.listen(endpoint);
   }
-  [[nodiscard]] bool listen_unix(const std::string& path);
-  [[nodiscard]] bool listen_tcp(std::uint16_t port);
 
   [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
   [[nodiscard]] const std::string& unix_path() const {

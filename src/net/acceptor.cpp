@@ -65,8 +65,8 @@ std::shared_ptr<ByteStream> connect_with_retry(ConnectOnce&& connect_once,
 
 // ── StreamAcceptor ──────────────────────────────────────────────────────
 
-StreamAcceptor::StreamAcceptor(OnStream on_stream, int backlog)
-    : on_stream_(std::move(on_stream)), backlog_(backlog) {
+StreamAcceptor::StreamAcceptor(OnStream on_stream)
+    : on_stream_(std::move(on_stream)) {
   TOMMY_EXPECTS(on_stream_ != nullptr);
 }
 
@@ -84,7 +84,7 @@ bool StreamAcceptor::listen_tcp(std::uint16_t port) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0
-      || ::listen(fd, backlog_) != 0) {
+      || ::listen(fd, kBacklog) != 0) {
     const int saved = errno;
     close_fd(fd);
     errno = saved;
@@ -116,7 +116,7 @@ bool StreamAcceptor::listen_unix(const std::string& path) {
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   (void)::unlink(path.c_str());  // stale socket file from a dead server
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0
-      || ::listen(fd, backlog_) != 0) {
+      || ::listen(fd, kBacklog) != 0) {
     const int saved = errno;
     close_fd(fd);
     errno = saved;
@@ -225,11 +225,9 @@ FrameServer::FrameServer(core::ClientRegistry& registry,
                   frontend.eof_policy = config.eof_policy;
                   return frontend;
                 }()),
-      acceptor_(
-          [this](std::shared_ptr<ByteStream> stream) {
-            frontend_.add_connection(std::move(stream));
-          },
-          config.backlog) {}
+      acceptor_([this](std::shared_ptr<ByteStream> stream) {
+        frontend_.add_connection(std::move(stream));
+      }) {}
 
 FrameServer::~FrameServer() { stop(); }
 
@@ -297,24 +295,6 @@ std::shared_ptr<ByteStream> dial(const Endpoint& endpoint,
   return connect_with_retry([&endpoint] { return dial(endpoint); }, policy);
 }
 
-std::shared_ptr<ByteStream> connect_tcp(std::uint16_t port) {
-  return dial(Endpoint{.unix_path = {}, .tcp_port = port});
-}
-
-std::shared_ptr<ByteStream> connect_unix(const std::string& path) {
-  return dial(Endpoint{.unix_path = path, .tcp_port = 0});
-}
-
-std::shared_ptr<ByteStream> connect_tcp(std::uint16_t port,
-                                        const RetryPolicy& policy) {
-  return dial(Endpoint{.unix_path = {}, .tcp_port = port}, policy);
-}
-
-std::shared_ptr<ByteStream> connect_unix(const std::string& path,
-                                         const RetryPolicy& policy) {
-  return dial(Endpoint{.unix_path = path, .tcp_port = 0}, policy);
-}
-
 std::chrono::microseconds RetryPolicy::delay_for(int attempt) const {
   double scaled = static_cast<double>(base_delay.count());
   for (int i = 0; i < attempt; ++i) {
@@ -334,21 +314,6 @@ void RetryPolicy::wait(int attempt) const {
   } else {
     std::this_thread::sleep_for(delay);
   }
-}
-
-std::shared_ptr<ByteStream> connect_retry(const std::string& unix_path,
-                                          std::uint16_t tcp_port,
-                                          const RetryPolicy& policy) {
-  return dial(Endpoint{.unix_path = unix_path, .tcp_port = tcp_port},
-              policy);
-}
-
-std::shared_ptr<ByteStream> connect_retry(const std::string& unix_path,
-                                          std::uint16_t tcp_port,
-                                          int attempts) {
-  RetryPolicy policy;
-  policy.attempts = attempts;
-  return connect_retry(unix_path, tcp_port, policy);
 }
 
 HandshakeResult perform_handshake(ByteStream& stream,

@@ -10,6 +10,9 @@
 //    FrameFrontend: every accepted stream becomes a protocol connection
 //    (poller registration, handshake, session) — the real server remote
 //    client processes connect to.
+//  * The client side is one function, `dial(Endpoint[, RetryPolicy])`:
+//    every layer that connects (merge peers, relays, subscribers, test
+//    and bench clients) passes an Endpoint straight through to it.
 //
 //   listen fd ──► accept thread ──► make_fd_stream ──► on_stream(...)
 //                                                       (FrameServer:
@@ -52,7 +55,10 @@ class StreamAcceptor {
  public:
   using OnStream = std::function<void(std::shared_ptr<ByteStream>)>;
 
-  explicit StreamAcceptor(OnStream on_stream, int backlog = 128);
+  /// listen(2) backlog of every listening socket in the library.
+  static constexpr int kBacklog = 128;
+
+  explicit StreamAcceptor(OnStream on_stream);
 
   /// stop()s.
   ~StreamAcceptor();
@@ -105,7 +111,6 @@ class StreamAcceptor {
   void accept_loop();
 
   OnStream on_stream_;
-  int backlog_;
 
   int listen_fd_{-1};
   int wake_fds_[2]{-1, -1};  // self-pipe: [read, write]
@@ -121,8 +126,6 @@ class StreamAcceptor {
 
 struct ServerConfig {
   FrontendConfig frontend{};
-  /// listen(2) backlog.
-  int backlog{128};
   /// Applied over frontend.eof_policy: servers default to removal (a
   /// disconnected peer is gone), where the bare front-end defaults to
   /// linger (in-process subscriber semantics).
@@ -233,36 +236,6 @@ struct RetryPolicy {
 /// immediately with errno preserved — retrying cannot fix them.
 [[nodiscard]] std::shared_ptr<ByteStream> dial(const Endpoint& endpoint,
                                                const RetryPolicy& policy);
-
-// ── Deprecated dial spellings ───────────────────────────────────────────
-// Thin wrappers over dial(); kept so existing call sites keep compiling.
-// New code should construct an Endpoint and call dial directly.
-
-/// Deprecated: dial(Endpoint{.tcp_port = port}).
-[[nodiscard]] std::shared_ptr<ByteStream> connect_tcp(std::uint16_t port);
-
-/// Deprecated: dial(Endpoint{.unix_path = path}).
-[[nodiscard]] std::shared_ptr<ByteStream> connect_unix(
-    const std::string& path);
-
-/// Deprecated: dial(Endpoint{.tcp_port = port}, policy).
-[[nodiscard]] std::shared_ptr<ByteStream> connect_tcp(
-    std::uint16_t port, const RetryPolicy& policy);
-
-/// Deprecated: dial(Endpoint{.unix_path = path}, policy).
-[[nodiscard]] std::shared_ptr<ByteStream> connect_unix(
-    const std::string& path, const RetryPolicy& policy);
-
-/// Deprecated: dial(Endpoint{unix_path, tcp_port}, policy) — the Unix
-/// path wins when nonempty, exactly as Endpoint specifies.
-[[nodiscard]] std::shared_ptr<ByteStream> connect_retry(
-    const std::string& unix_path, std::uint16_t tcp_port,
-    const RetryPolicy& policy);
-
-/// Deprecated back-compat overload: flat ~2 ms between `attempts` tries.
-[[nodiscard]] std::shared_ptr<ByteStream> connect_retry(
-    const std::string& unix_path, std::uint16_t tcp_port,
-    int attempts = 500);
 
 /// Outcome of the client-side join handshake (perform_handshake).
 enum class HandshakeResult : std::uint8_t {

@@ -1,15 +1,19 @@
 // The one address type every listen/dial surface in the repo shares: a
 // Unix-domain socket path (preferred when nonempty) or a loopback TCP
-// port. Historically each layer grew its own pair of *_unix/*_tcp entry
-// points plus its own address struct (dist::NodeAddress); unifying on
-// Endpoint means a topology file, a CLI flag, and a test helper all pass
-// the same value straight through to net::listen/net::dial.
+// port. A topology file, a CLI flag, and a test helper all pass the same
+// value straight through to the one spelling per direction:
+//
+//   dial(Endpoint[, RetryPolicy])            client side (net/acceptor.hpp)
+//   listen(Endpoint)                         StreamAcceptor, FrameServer,
+//                                            RouterNode
+//   listen_ingest / listen_uplink(Endpoint)  ShardNode
+//   connect(node, Endpoint)                  MergeNode peers
 //
 //   Endpoint{.unix_path = "/tmp/x.sock"}  →  Unix-domain stream socket
 //   Endpoint{.tcp_port = 9000}            →  127.0.0.1:9000
 //
-// When both fields are set the Unix path wins (matching the long-standing
-// connect_retry convention). An empty() endpoint is "not configured".
+// When both fields are set the Unix path wins. An empty() endpoint is
+// "not configured". dist::NodeAddress is this same type.
 #pragma once
 
 #include <cstdint>

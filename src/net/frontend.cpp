@@ -15,24 +15,20 @@
 
 namespace tommy::net {
 
-/// Default arrival clock: monotonic wall-clock seconds since the first
-/// call (one shared origin per process, so all connections agree).
-/// External linkage on purpose — poller_frontend.cpp stamps
-/// last_activity on the same timeline.
-TimePoint wall_clock_now() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point origin = clock::now();
-  return TimePoint(
-      std::chrono::duration<double>(clock::now() - origin).count());
+TimePoint system_clock_now() {
+  return TimePoint(std::chrono::duration<double>(
+                       std::chrono::system_clock::now().time_since_epoch())
+                       .count());
 }
 
 namespace {
 
 FrontendConfig normalized(FrontendConfig config) {
   if (!config.arrival_clock) {
-    config.arrival_clock = [](const WireMessage&) { return wall_clock_now(); };
+    config.arrival_clock = [](const WireMessage&) {
+      return system_clock_now();
+    };
   }
-  if (config.read_chunk_bytes == 0) config.read_chunk_bytes = 1;
   if (config.submit_batch_limit == 0) config.submit_batch_limit = 1;
   return config;
 }

@@ -35,9 +35,11 @@
 // Arrival stamping: wire messages carry the client's local stamp but not
 // the sequencer-clock arrival (`now`) the online machinery needs; the
 // front-end stamps each inbound message via `FrontendConfig::
-// arrival_clock`. Production uses the default (monotonic wall clock);
-// tests and simulations install a deterministic function of the message
-// so a frame-driven run is bit-identical to a direct-drive run.
+// arrival_clock`. Production uses the default, system_clock_now(): the
+// epoch-seconds domain a wire client stamps in, and the same clock a
+// ShardNode pumps on by default. Tests and simulations install a
+// deterministic function of the message so a frame-driven run is
+// bit-identical to a direct-drive run.
 //
 // Concurrency: with a threaded service, pollers are lock-free producers
 // onto their session rings and need no front-end serialization. With a
@@ -66,6 +68,13 @@
 namespace tommy::net {
 
 class EventLoop;
+
+/// The one default clock of the wire tier: std::chrono::system_clock
+/// seconds since the Unix epoch, the domain wire clients stamp in.
+/// FrontendConfig::arrival_clock and dist::ShardNodeConfig::pump_clock
+/// both default to it, so a silence timeout that subtracts an arrival
+/// from a poll time compares one clock with itself.
+[[nodiscard]] TimePoint system_clock_now();
 
 /// Outcome of one nonblocking I/O attempt (try_read / try_write).
 enum class IoStatus : std::uint8_t {
@@ -215,15 +224,15 @@ enum class EgressPolicy : std::uint8_t {
 
 struct FrontendConfig {
   /// Stamps each inbound message with its sequencer-clock arrival (the
-  /// `now` of the session call). Default (null): monotonic wall clock,
-  /// seconds since process start. Tests/simulations install a
-  /// deterministic function of the message (e.g. stamp + modeled delay)
-  /// so frame-driven runs replay bit-identically.
+  /// `now` of the session call). Default (null): system_clock_now(),
+  /// epoch seconds — the clock wire clients stamp in and the default
+  /// pump clock of a ShardNode, so the silence timeout compares one
+  /// domain. Tests/simulations install a deterministic function of the
+  /// message (e.g. stamp + modeled delay) so frame-driven runs replay
+  /// bit-identically; whoever injects this clock must pump in its domain.
   std::function<TimePoint(const WireMessage&)> arrival_clock{};
   /// Frame payload cap (oversized frames poison the connection).
   std::size_t max_frame_bytes{kDefaultMaxFrameBytes};
-  /// Bytes each try_read on a readable edge asks for.
-  std::size_t read_chunk_bytes{4096};
   /// Submissions buffered per connection before a forced apply (runs of
   /// decoded submits apply through the relaxed batch path in chunks of at
   /// most this).

@@ -28,9 +28,23 @@
 
 namespace tommy::net {
 
-// Defined in frontend.cpp — one shared clock origin per process, so
-// last_activity stamps agree with the default arrival clock.
-TimePoint wall_clock_now();
+namespace {
+
+/// ConnectionStats::last_activity's clock: monotonic seconds since the
+/// first call (one shared origin per process, so all connections agree).
+/// Arrivals are stamped on a different clock (FrontendConfig::
+/// arrival_clock); this one only orders I/O for observability.
+TimePoint monotonic_now() {
+  using clock = std::chrono::steady_clock;
+  static const clock::time_point origin = clock::now();
+  return TimePoint(
+      std::chrono::duration<double>(clock::now() - origin).count());
+}
+
+/// Bytes each try_read on a readable edge asks for.
+constexpr std::size_t kReadChunkBytes = 4096;
+
+}  // namespace
 
 void FrameFrontend::attach_to_loop(const std::shared_ptr<Conn>& conn) {
   // conns_mutex_ held by add_connection: guards event_loop_ creation and
@@ -47,7 +61,7 @@ void FrameFrontend::attach_to_loop(const std::shared_ptr<Conn>& conn) {
     event_loop_ = std::make_unique<EventLoop>(
         std::max<std::size_t>(1, config_.poller_threads));
   }
-  conn->read_buffer.resize(config_.read_chunk_bytes);
+  conn->read_buffer.resize(kReadChunkBytes);
   conn->loop_key = event_loop_->allocate_key();
   conn->in_loop = true;
   EventLoop::Handler handler;
@@ -134,7 +148,7 @@ void FrameFrontend::drain_readable(Conn& conn) {
       return;
     }
     conn.bytes_in.fetch_add(r.bytes, std::memory_order_relaxed);
-    conn.last_activity.store(wall_clock_now().seconds(),
+    conn.last_activity.store(monotonic_now().seconds(),
                              std::memory_order_relaxed);
     const Connection::DriveStatus status =
         conn.machine.drive({conn.read_buffer.data(), r.bytes});
@@ -184,7 +198,7 @@ void FrameFrontend::queue_egress(Conn& conn,
       if (r.status == IoStatus::kOk) {
         off += r.bytes;
         conn.bytes_out.fetch_add(r.bytes, std::memory_order_relaxed);
-        conn.last_activity.store(wall_clock_now().seconds(),
+        conn.last_activity.store(monotonic_now().seconds(),
                                  std::memory_order_relaxed);
         continue;
       }
@@ -230,7 +244,7 @@ void FrameFrontend::flush_egress_locked(Conn& conn) {
       conn.egress_offset += r.bytes;
       conn.egress_bytes -= r.bytes;
       conn.bytes_out.fetch_add(r.bytes, std::memory_order_relaxed);
-      conn.last_activity.store(wall_clock_now().seconds(),
+      conn.last_activity.store(monotonic_now().seconds(),
                                std::memory_order_relaxed);
       if (conn.egress_offset == head.size()) {
         conn.egress.pop_front();

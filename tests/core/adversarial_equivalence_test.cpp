@@ -139,13 +139,15 @@ DriveResult drive(OnlineSequencer& seq, Scenario& s) {
   auto append = [&](std::vector<EmissionRecord>&& recs) {
     for (auto& r : recs) out.records.push_back(std::move(r));
   };
+  std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
+  for (ClientId c : s.population.ids()) {
+    sessions.emplace(c, seq.open_session(c));
+  }
   TimePoint now(0.0);
   std::size_t k = 0;
   for (const Message& m : s.messages) {
     now = std::max(now, m.arrival);
-    Message copy = m;
-    copy.arrival = now;
-    seq.on_message(copy);
+    sessions.at(m.client).submit(m.stamp, m.id, now);
     if (++k == s.reprime_at && s.reprime_at != 0) {
       s.registry.announce(
           s.population.ids().front(),
@@ -154,7 +156,7 @@ DriveResult drive(OnlineSequencer& seq, Scenario& s) {
     if (k % 37 == 0) append(seq.poll(now));
   }
   for (ClientId c : s.population.ids()) {
-    seq.on_heartbeat(c, now + 1_s, now + 1_ms);
+    sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
   }
   append(seq.poll(now + 1_s));
   append(seq.flush(now + 2_s));

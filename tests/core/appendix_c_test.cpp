@@ -41,6 +41,11 @@ class AppendixC : public ::testing::Test {
                    TimePoint(100.80)};
   }
 
+  /// Ingests `m` through a session for its client.
+  static void submit(OnlineSequencer& seq, const Message& m) {
+    seq.open_session(m.client).submit(m.stamp, m.id, m.arrival);
+  }
+
   ClientRegistry registry_;
   OnlineConfig config_;
 };
@@ -49,9 +54,9 @@ TEST_F(AppendixC, AllThreeMessagesShareOneBatch) {
   OnlineSequencer seq(registry_, {ClientId(1), ClientId(2)}, config_);
 
   // Step 1-3 of the appendix: messages arrive in the order 1a, 2, 1b.
-  seq.on_message(msg_1a());
-  seq.on_message(msg_2());
-  seq.on_message(msg_1b());
+  submit(seq, msg_1a());
+  submit(seq, msg_2());
+  submit(seq, msg_1b());
   EXPECT_EQ(seq.pending_count(), 3u);
 
   // The head batch must span all three: C2's uncertainty blocks every cut.
@@ -60,8 +65,8 @@ TEST_F(AppendixC, AllThreeMessagesShareOneBatch) {
   EXPECT_NEAR(t_b.seconds(), 100.6 + 3.0902, 1e-3);
 
   // Step 4: before T_b nothing may be emitted even with completeness.
-  seq.on_heartbeat(ClientId(1), TimePoint(108.0), TimePoint(101.0));
-  seq.on_heartbeat(ClientId(2), TimePoint(108.0), TimePoint(101.0));
+  seq.open_session(ClientId(1)).heartbeat(TimePoint(108.0), TimePoint(101.0));
+  seq.open_session(ClientId(2)).heartbeat(TimePoint(108.0), TimePoint(101.0));
   EXPECT_TRUE(seq.poll(TimePoint(101.0)).empty());
   EXPECT_TRUE(seq.poll(TimePoint(103.5)).empty());
 
@@ -78,11 +83,11 @@ TEST_F(AppendixC, WithoutC2TheC1MessagesSeparateCleanly) {
   // Control: drop the high-uncertainty message; 1a and 1b are confidently
   // ordered (gap 0.3 ≫ σ√2 ≈ 0.07) and land in two batches.
   OnlineSequencer seq(registry_, {ClientId(1), ClientId(2)}, config_);
-  seq.on_message(msg_1a());
-  seq.on_message(msg_1b());
+  submit(seq, msg_1a());
+  submit(seq, msg_1b());
 
-  seq.on_heartbeat(ClientId(1), TimePoint(108.0), TimePoint(101.0));
-  seq.on_heartbeat(ClientId(2), TimePoint(108.0), TimePoint(101.0));
+  seq.open_session(ClientId(1)).heartbeat(TimePoint(108.0), TimePoint(101.0));
+  seq.open_session(ClientId(2)).heartbeat(TimePoint(108.0), TimePoint(101.0));
   const auto emissions = seq.poll(TimePoint(105.0));
   ASSERT_EQ(emissions.size(), 2u);
   EXPECT_EQ(emissions[0].batch.messages.size(), 1u);
@@ -93,18 +98,18 @@ TEST_F(AppendixC, WithoutC2TheC1MessagesSeparateCleanly) {
 
 TEST_F(AppendixC, CompletenessBlocksUntilBothClientsPassTb) {
   OnlineSequencer seq(registry_, {ClientId(1), ClientId(2)}, config_);
-  seq.on_message(msg_1a());
-  seq.on_message(msg_2());
-  seq.on_message(msg_1b());
+  submit(seq, msg_1a());
+  submit(seq, msg_2());
+  submit(seq, msg_1b());
 
   // Heartbeats whose stamps do NOT clear T_b ≈ 103.69 for C2: its
   // completeness frontier is stamp − 3.09, so stamp 105 gives 101.9 < T_b.
-  seq.on_heartbeat(ClientId(1), TimePoint(105.0), TimePoint(104.0));
-  seq.on_heartbeat(ClientId(2), TimePoint(105.0), TimePoint(104.0));
+  seq.open_session(ClientId(1)).heartbeat(TimePoint(105.0), TimePoint(104.0));
+  seq.open_session(ClientId(2)).heartbeat(TimePoint(105.0), TimePoint(104.0));
   EXPECT_TRUE(seq.poll(TimePoint(104.0)).empty());
 
   // A later C2 heartbeat clears the gate (107 − 3.09 = 103.91 > T_b).
-  seq.on_heartbeat(ClientId(2), TimePoint(107.0), TimePoint(104.5));
+  seq.open_session(ClientId(2)).heartbeat(TimePoint(107.0), TimePoint(104.5));
   const auto emissions = seq.poll(TimePoint(104.5));
   ASSERT_EQ(emissions.size(), 1u);
   EXPECT_EQ(emissions[0].batch.messages.size(), 3u);
@@ -112,13 +117,13 @@ TEST_F(AppendixC, CompletenessBlocksUntilBothClientsPassTb) {
 
 TEST_F(AppendixC, TbExtendsWhenAMergingMessageArrives) {
   OnlineSequencer seq(registry_, {ClientId(1), ClientId(2)}, config_);
-  seq.on_message(msg_1a());
+  submit(seq, msg_1a());
   const TimePoint tb_before = seq.next_safe_time();
   // 1a alone: T_b = 100.0 + 0.05·3.09 ≈ 100.15.
   EXPECT_NEAR(tb_before.seconds(), 100.0 + kSigmaTight * 3.0902, 1e-3);
 
   // Message 2 merges into the open batch and drags T_b out by seconds.
-  seq.on_message(msg_2());
+  submit(seq, msg_2());
   const TimePoint tb_after = seq.next_safe_time();
   EXPECT_GT(tb_after, tb_before + Duration(3.0));
 }

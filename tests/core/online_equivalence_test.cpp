@@ -8,12 +8,11 @@
 // gap reduction and the incremental closure replace the O(n²)
 // probability sweeps on the hot path.
 //
-// The same harness also proves the redesigned ingest/emission surfaces
-// are pure re-skins of that contract: driving through per-connection
-// Session handles must be bit-identical to the legacy
-// on_message/on_heartbeat entry points, and a 1-shard FairOrderingService
-// (sessions + emission sink) must be bit-identical to a bare
-// OnlineSequencer — in fast AND reference mode.
+// Every leg ingests through per-connection Session handles, the one
+// ingest surface. The same harness also proves the service surface is a
+// pure re-skin of that contract: a 1-shard FairOrderingService (sessions
+// + emission sink) must be bit-identical to a bare OnlineSequencer — in
+// fast AND reference mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,41 +90,6 @@ struct DriveResult {
   std::vector<std::vector<ClientId>> timeout_samples;
 };
 
-/// Feeds the scenario through `seq` on a deterministic schedule derived
-/// only from the input (so both modes see byte-identical calls):
-/// interleaved polls, periodic all-client heartbeats, a settling
-/// heartbeat+poll, then a flush of any remainder.
-DriveResult drive(OnlineSequencer& seq, const Scenario& s) {
-  DriveResult out;
-  auto append = [&](std::vector<EmissionRecord>&& recs) {
-    for (auto& r : recs) out.records.push_back(std::move(r));
-  };
-  TimePoint now(0.0);
-  std::size_t k = 0;
-  for (const Message& m : s.messages) {
-    now = std::max(now, m.arrival);
-    Message copy = m;
-    copy.arrival = now;
-    seq.on_message(copy);
-    ++k;
-    if (k % 13 == 0) {
-      for (ClientId c : s.expected) seq.on_heartbeat(c, now, now);
-    }
-    if (k % 7 == 0) append(seq.poll(now));
-    if (k % 29 == 0) {
-      out.next_safe_samples.push_back(seq.next_safe_time().seconds());
-      out.timeout_samples.push_back(seq.timed_out_clients(now));
-    }
-  }
-  for (ClientId c : s.expected) seq.on_heartbeat(c, now + 1_s, now + 1_ms);
-  append(seq.poll(now + 1_s));
-  append(seq.flush(now + 2_s));
-  out.pending_after_flush = seq.pending_count();
-  out.violations = seq.fairness_violations();
-  out.final_rank = seq.next_rank();
-  return out;
-}
-
 void expect_identical(const DriveResult& fast, const DriveResult& ref,
                       const char* label) {
   SCOPED_TRACE(label);
@@ -152,11 +116,12 @@ void expect_identical(const DriveResult& fast, const DriveResult& ref,
   }
 }
 
-/// The same deterministic schedule as drive(), but through per-connection
-/// Session handles: sessions are opened once up front and every
-/// submit/heartbeat goes through them. Byte-identical inputs, different
-/// entry surface.
-DriveResult drive_sessions(OnlineSequencer& seq, const Scenario& s) {
+/// Feeds the scenario through `seq` on a deterministic schedule derived
+/// only from the input (so both modes see byte-identical calls):
+/// interleaved polls, periodic all-client heartbeats, a settling
+/// heartbeat+poll, then a flush of any remainder. Sessions are opened
+/// once up front and every submit/heartbeat goes through them.
+DriveResult drive(OnlineSequencer& seq, const Scenario& s) {
   std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
   for (ClientId c : s.expected) sessions.emplace(c, seq.open_session(c));
   DriveResult out;
@@ -259,8 +224,9 @@ void run_equivalence(std::uint64_t seed, Shape shape, std::size_t clients,
   expect_identical(fast_result, ref_result, label);
 }
 
-/// Asserts all three ingest surfaces agree bit-for-bit in `mode`:
-/// legacy entry points, session handles, and a 1-shard service.
+/// Asserts three legs agree bit-for-bit: a bare sequencer in `mode`, a
+/// bare sequencer in the other mode (the oracle pair), and a 1-shard
+/// service in `mode`.
 void run_surface_equivalence(std::uint64_t seed, Shape shape,
                              std::size_t clients, std::size_t count,
                              OnlineConfig config, bool reference_mode,
@@ -269,19 +235,21 @@ void run_surface_equivalence(std::uint64_t seed, Shape shape,
   OnlineConfig mode_config = config;
   mode_config.reference_mode = reference_mode;
 
-  OnlineSequencer legacy(s.registry, s.expected, mode_config);
-  const DriveResult legacy_result = drive(legacy, s);
-  EXPECT_FALSE(legacy_result.records.empty());
-
   OnlineSequencer sessioned(s.registry, s.expected, mode_config);
-  const DriveResult session_result = drive_sessions(sessioned, s);
-  expect_identical(session_result, legacy_result, label);
+  const DriveResult session_result = drive(sessioned, s);
+  EXPECT_FALSE(session_result.records.empty());
+
+  OnlineConfig other_config = mode_config;
+  other_config.reference_mode = !reference_mode;
+  OnlineSequencer other(s.registry, s.expected, other_config);
+  const DriveResult other_result = drive(other, s);
+  expect_identical(session_result, other_result, label);
 
   ServiceConfig service_config;
   service_config.with_online(mode_config).with_shards(1);
   FairOrderingService service(s.registry, s.expected, service_config);
   const DriveResult service_result = drive_service(service, s);
-  expect_identical(service_result, legacy_result, label);
+  expect_identical(service_result, session_result, label);
 }
 
 TEST(OnlineEquivalence, GaussianClosedForm) {
@@ -392,14 +360,17 @@ TEST(OnlineEquivalence, MidRunReannounceRefreshesConstants) {
       config.p_safe = 0.99;
       config.reference_mode = reference_mode;
       OnlineSequencer seq(registry, population.ids(), config);
+      std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
+      for (ClientId c : population.ids()) {
+        sessions.emplace(c, seq.open_session(c));
+      }
       DriveResult out;
       TimePoint now(0.0);
       std::size_t k = 0;
       for (const auto& om : observed) {
         now = std::max(now, om.message.arrival);
-        Message copy = om.message;
-        copy.arrival = now;
-        seq.on_message(copy);
+        sessions.at(om.message.client)
+            .submit(om.message.stamp, om.message.id, now);
         if (++k == observed.size() / 2) {
           // Halfway through, client 0's clock gets re-learned.
           registry.announce(
@@ -407,12 +378,14 @@ TEST(OnlineEquivalence, MidRunReannounceRefreshesConstants) {
               std::make_unique<stats::Gaussian>(v.new_mean, v.new_sigma));
         }
         if (k % v.poll_every == 0) {
-          for (ClientId c : population.ids()) seq.on_heartbeat(c, now, now);
+          for (ClientId c : population.ids()) {
+            sessions.at(c).heartbeat(now, now);
+          }
           for (auto& r : seq.poll(now)) out.records.push_back(std::move(r));
         }
       }
       for (ClientId c : population.ids()) {
-        seq.on_heartbeat(c, now + 1_s, now + 1_ms);
+        sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
       }
       for (auto& r : seq.poll(now + 1_s)) out.records.push_back(std::move(r));
       for (auto& r : seq.flush(now + 2_s)) {
@@ -452,25 +425,28 @@ TEST(OnlineEquivalence, NumericReannounceDropsStaleDensities) {
     config.preceding.force_numeric = true;
     config.preceding.grid_points = 128;
     OnlineSequencer seq(registry, population.ids(), config);
+    std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
+    for (ClientId c : population.ids()) {
+      sessions.emplace(c, seq.open_session(c));
+    }
     DriveResult out;
     TimePoint now(0.0);
     std::size_t k = 0;
     for (const auto& om : observed) {
       now = std::max(now, om.message.arrival);
-      Message copy = om.message;
-      copy.arrival = now;
-      seq.on_message(copy);
+      sessions.at(om.message.client)
+          .submit(om.message.stamp, om.message.id, now);
       if (++k == observed.size() / 2) {
         registry.announce(population.ids().front(),
                           std::make_unique<stats::Gaussian>(5e-3, 200e-6));
       }
       if (k % 17 == 0) {
-        for (ClientId c : population.ids()) seq.on_heartbeat(c, now, now);
+        for (ClientId c : population.ids()) sessions.at(c).heartbeat(now, now);
         for (auto& r : seq.poll(now)) out.records.push_back(std::move(r));
       }
     }
     for (ClientId c : population.ids()) {
-      seq.on_heartbeat(c, now + 1_s, now + 1_ms);
+      sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
     }
     for (auto& r : seq.poll(now + 1_s)) out.records.push_back(std::move(r));
     for (auto& r : seq.flush(now + 2_s)) out.records.push_back(std::move(r));
@@ -485,7 +461,7 @@ TEST(OnlineEquivalence, NumericReannounceDropsStaleDensities) {
   expect_identical(fast_result, ref_result, "numeric-reannounce");
 }
 
-TEST(OnlineEquivalence, SessionAndServiceSurfacesMatchLegacyFastMode) {
+TEST(OnlineEquivalence, SessionAndServiceSurfacesAgreeFastMode) {
   OnlineConfig config;
   config.threshold = 0.75;
   config.p_safe = 0.999;
@@ -495,7 +471,7 @@ TEST(OnlineEquivalence, SessionAndServiceSurfacesMatchLegacyFastMode) {
   }
 }
 
-TEST(OnlineEquivalence, SessionAndServiceSurfacesMatchLegacyReferenceMode) {
+TEST(OnlineEquivalence, SessionAndServiceSurfacesAgreeReferenceMode) {
   OnlineConfig config;
   config.threshold = 0.75;
   config.p_safe = 0.99;
@@ -505,7 +481,7 @@ TEST(OnlineEquivalence, SessionAndServiceSurfacesMatchLegacyReferenceMode) {
   }
 }
 
-TEST(OnlineEquivalence, SessionSurfaceMatchesLegacyNumericPath) {
+TEST(OnlineEquivalence, SessionSurfaceAgreesOnNumericPath) {
   OnlineConfig config;
   config.threshold = 0.7;
   config.p_safe = 0.99;
@@ -514,9 +490,9 @@ TEST(OnlineEquivalence, SessionSurfaceMatchesLegacyNumericPath) {
                           /*reference_mode=*/false, "surfaces-numeric");
 }
 
-TEST(OnlineEquivalence, SessionSurfaceMatchesLegacyWithViolations) {
-  // Low p_safe forces emissions past in-flight messages, so the session
-  // path's violation accounting must match the legacy path exactly too.
+TEST(OnlineEquivalence, SessionSurfaceAgreesWithViolations) {
+  // Low p_safe forces emissions past in-flight messages, so the violation
+  // accounting must match across modes and the service exactly too.
   OnlineConfig config;
   config.threshold = 0.6;
   config.p_safe = 0.51;
@@ -526,64 +502,47 @@ TEST(OnlineEquivalence, SessionSurfaceMatchesLegacyWithViolations) {
   }
 }
 
-TEST(OnlineEquivalence, SessionSurfaceMatchesLegacyAcrossReannounce) {
+TEST(OnlineEquivalence, FastSessionsMatchReferenceAcrossReannounce) {
   // A mid-run re-announce must refresh the session-cached offsets through
-  // the generation counter: drive the legacy surface and the session
-  // surface over the same stream with the same mid-run re-learn and
-  // require identical emissions.
+  // the generation counter: drive fast-mode and reference-mode sessions
+  // over the same stream with the same mid-run re-learn and require
+  // identical emissions.
   Rng rng(77);
   sim::Population population = sim::gaussian_population(6, 50e-6, rng);
   const auto events = sim::poisson_workload(population.ids(), 300, 10_us, rng);
   const auto observed = sim::materialize_messages(
       population, events, sim::MaterializeConfig{}, rng);
 
-  auto run = [&](bool use_sessions) {
+  auto run = [&](bool reference_mode) {
     ClientRegistry registry;
     population.seed_registry(registry);
     OnlineConfig config;
     config.threshold = 0.75;
     config.p_safe = 0.99;
+    config.reference_mode = reference_mode;
     OnlineSequencer seq(registry, population.ids(), config);
     std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
-    if (use_sessions) {
-      for (ClientId c : population.ids()) {
-        sessions.emplace(c, seq.open_session(c));
-      }
+    for (ClientId c : population.ids()) {
+      sessions.emplace(c, seq.open_session(c));
     }
     DriveResult out;
     TimePoint now(0.0);
     std::size_t k = 0;
     for (const auto& om : observed) {
       now = std::max(now, om.message.arrival);
-      if (use_sessions) {
-        sessions.at(om.message.client)
-            .submit(om.message.stamp, om.message.id, now);
-      } else {
-        Message copy = om.message;
-        copy.arrival = now;
-        seq.on_message(copy);
-      }
+      sessions.at(om.message.client)
+          .submit(om.message.stamp, om.message.id, now);
       if (++k == observed.size() / 2) {
         registry.announce(population.ids().front(),
                           std::make_unique<stats::Gaussian>(20e-6, 120e-6));
       }
       if (k % 7 == 0) {
-        for (ClientId c : population.ids()) {
-          if (use_sessions) {
-            sessions.at(c).heartbeat(now, now);
-          } else {
-            seq.on_heartbeat(c, now, now);
-          }
-        }
+        for (ClientId c : population.ids()) sessions.at(c).heartbeat(now, now);
         for (auto& r : seq.poll(now)) out.records.push_back(std::move(r));
       }
     }
     for (ClientId c : population.ids()) {
-      if (use_sessions) {
-        sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
-      } else {
-        seq.on_heartbeat(c, now + 1_s, now + 1_ms);
-      }
+      sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
     }
     for (auto& r : seq.poll(now + 1_s)) out.records.push_back(std::move(r));
     for (auto& r : seq.flush(now + 2_s)) out.records.push_back(std::move(r));
@@ -593,9 +552,9 @@ TEST(OnlineEquivalence, SessionSurfaceMatchesLegacyAcrossReannounce) {
     return out;
   };
 
-  const DriveResult session_result = run(true);
-  const DriveResult legacy_result = run(false);
-  expect_identical(session_result, legacy_result, "session-reannounce");
+  const DriveResult fast_result = run(false);
+  const DriveResult ref_result = run(true);
+  expect_identical(fast_result, ref_result, "session-reannounce");
 }
 
 TEST(OnlineEquivalence, DuplicateExpectedClientsCollapse) {
@@ -610,10 +569,10 @@ TEST(OnlineEquivalence, DuplicateExpectedClientsCollapse) {
   config.p_safe = 0.99;
   OnlineSequencer seq(registry, {ClientId(0), ClientId(0), ClientId(1)},
                       config);
-  seq.on_message(Message{MessageId(1), ClientId(0), TimePoint(1.0),
-                         TimePoint(1.0)});
-  seq.on_heartbeat(ClientId(0), TimePoint(10.0), TimePoint(1.1));
-  seq.on_heartbeat(ClientId(1), TimePoint(10.0), TimePoint(1.1));
+  OnlineSequencer::Session zero = seq.open_session(ClientId(0));
+  zero.submit(TimePoint(1.0), MessageId(1), TimePoint(1.0));
+  zero.heartbeat(TimePoint(10.0), TimePoint(1.1));
+  seq.open_session(ClientId(1)).heartbeat(TimePoint(10.0), TimePoint(1.1));
   const auto emitted = seq.poll(TimePoint(5.0));
   ASSERT_EQ(emitted.size(), 1u);
   EXPECT_EQ(emitted[0].batch.messages.size(), 1u);

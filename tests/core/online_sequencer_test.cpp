@@ -32,10 +32,17 @@ class OnlineSequencerTest : public ::testing::Test {
                    TimePoint(arrival)};
   }
 
+  /// Ingests `m` through a session for its client.
+  static void submit(OnlineSequencer& seq, const Message& m) {
+    seq.open_session(m.client).submit(m.stamp, m.id, m.arrival);
+  }
+
   /// Heartbeats recent and far-stamped enough to satisfy completeness.
   void open_gates(OnlineSequencer& seq, double now) {
-    seq.on_heartbeat(ClientId(0), TimePoint(now + 10.0), TimePoint(now));
-    seq.on_heartbeat(ClientId(1), TimePoint(now + 10.0), TimePoint(now));
+    for (std::uint32_t c : {0u, 1u}) {
+      seq.open_session(ClientId(c))
+          .heartbeat(TimePoint(now + 10.0), TimePoint(now));
+    }
   }
 
   ClientRegistry registry_;
@@ -51,7 +58,7 @@ TEST_F(OnlineSequencerTest, EmptyPollsEmitNothing) {
 
 TEST_F(OnlineSequencerTest, SafeEmissionWaitsForTb) {
   OnlineSequencer seq = make();
-  seq.on_message(msg(1, 0, 1.0, 1.001));
+  submit(seq, msg(1, 0, 1.0, 1.001));
   open_gates(seq, 1.002);
 
   const TimePoint t_b = seq.next_safe_time();
@@ -66,9 +73,9 @@ TEST_F(OnlineSequencerTest, SafeEmissionWaitsForTb) {
 TEST_F(OnlineSequencerTest, RanksAreDenseAndOrdered) {
   OnlineSequencer seq = make();
   // Three well-separated messages (100 ms apart >> 1 ms noise).
-  seq.on_message(msg(1, 0, 1.0, 1.001));
-  seq.on_message(msg(2, 1, 1.1, 1.101));
-  seq.on_message(msg(3, 0, 1.2, 1.201));
+  submit(seq, msg(1, 0, 1.0, 1.001));
+  submit(seq, msg(2, 1, 1.1, 1.101));
+  submit(seq, msg(3, 0, 1.2, 1.201));
   open_gates(seq, 1.3);
 
   const auto emitted = seq.poll(TimePoint(2.0));
@@ -86,8 +93,8 @@ TEST_F(OnlineSequencerTest, RanksAreDenseAndOrdered) {
 TEST_F(OnlineSequencerTest, CloseStampsShareABatch) {
   OnlineSequencer seq = make();
   // 0.1 ms apart with 1 ms noise: unorderable at threshold 0.75.
-  seq.on_message(msg(1, 0, 1.0, 1.001));
-  seq.on_message(msg(2, 1, 1.0001, 1.0011));
+  submit(seq, msg(1, 0, 1.0, 1.001));
+  submit(seq, msg(2, 1, 1.0001, 1.0011));
   open_gates(seq, 1.01);
 
   const auto emitted = seq.poll(TimePoint(2.0));
@@ -97,24 +104,24 @@ TEST_F(OnlineSequencerTest, CloseStampsShareABatch) {
 
 TEST_F(OnlineSequencerTest, CompletenessBlocksWithoutAnyHeartbeat) {
   OnlineSequencer seq = make();
-  seq.on_message(msg(1, 0, 1.0, 1.001));
+  submit(seq, msg(1, 0, 1.0, 1.001));
   // Client 1 has never been heard from; no timeout configured.
   EXPECT_TRUE(seq.poll(TimePoint(10.0)).empty());
   // Client 1 speaking is not enough: client 0's own high-water mark (its
   // message stamp) must also clear T_b — a later message from client 0
   // could still demand a lower rank.
-  seq.on_heartbeat(ClientId(1), TimePoint(9.0), TimePoint(10.0));
+  seq.open_session(ClientId(1)).heartbeat(TimePoint(9.0), TimePoint(10.0));
   EXPECT_TRUE(seq.poll(TimePoint(10.0)).empty());
   // Once client 0's own clock has visibly moved past T_b, emission
   // unblocks.
-  seq.on_heartbeat(ClientId(0), TimePoint(9.0), TimePoint(10.0));
+  seq.open_session(ClientId(0)).heartbeat(TimePoint(9.0), TimePoint(10.0));
   EXPECT_EQ(seq.poll(TimePoint(10.0)).size(), 1u);
 }
 
 TEST_F(OnlineSequencerTest, SilenceTimeoutRestoresLiveness) {
   config_.client_silence_timeout = 100_ms;
   OnlineSequencer seq = make();
-  seq.on_message(msg(1, 0, 1.0, 1.001));
+  submit(seq, msg(1, 0, 1.0, 1.001));
   // Client 1 stays silent. Before the timeout the sequencer is stuck...
   EXPECT_TRUE(seq.poll(TimePoint(1.05)).empty());
   EXPECT_EQ(seq.timed_out_clients(TimePoint(1.05)).size(), 1u);
@@ -125,17 +132,17 @@ TEST_F(OnlineSequencerTest, SilenceTimeoutRestoresLiveness) {
 
 TEST_F(OnlineSequencerTest, ViolationCountedForLateConfidentMessage) {
   OnlineSequencer seq = make();
-  seq.on_message(msg(1, 0, 1.0, 1.001));
+  submit(seq, msg(1, 0, 1.0, 1.001));
   open_gates(seq, 1.01);
   ASSERT_EQ(seq.poll(TimePoint(2.0)).size(), 1u);
   EXPECT_EQ(seq.fairness_violations(), 0u);
 
   // A message stamped 0.5 — confidently before the emitted batch.
-  seq.on_message(msg(2, 1, 0.5, 2.1));
+  submit(seq, msg(2, 1, 0.5, 2.1));
   EXPECT_EQ(seq.fairness_violations(), 1u);
 
   // A message stamped well after it is not a violation.
-  seq.on_message(msg(3, 1, 5.0, 5.1));
+  submit(seq, msg(3, 1, 5.0, 5.1));
   EXPECT_EQ(seq.fairness_violations(), 1u);
 }
 
@@ -146,7 +153,7 @@ TEST_F(OnlineSequencerTest, HigherPSafeDelaysEmission) {
   OnlineSequencer high = make();
 
   for (OnlineSequencer* seq : {&low, &high}) {
-    seq->on_message(msg(1, 0, 1.0, 1.001));
+    submit(*seq, msg(1, 0, 1.0, 1.001));
   }
   EXPECT_LT(low.next_safe_time(), high.next_safe_time());
 }
@@ -156,7 +163,7 @@ TEST_F(OnlineSequencerTest, EmittedBatchesNeverDecreaseInCorrectedStamp) {
   // A mixed stream; all gaps large enough to order confidently.
   double stamp = 1.0;
   for (std::uint64_t id = 1; id <= 10; ++id) {
-    seq.on_message(msg(id, id % 2, stamp, stamp + 0.001));
+    submit(seq, msg(id, id % 2, stamp, stamp + 0.001));
     stamp += 0.05;
   }
   open_gates(seq, stamp);
@@ -170,7 +177,7 @@ TEST_F(OnlineSequencerTest, EmittedBatchesNeverDecreaseInCorrectedStamp) {
 
 TEST_F(OnlineSequencerTest, PollIsIdempotentBetweenArrivals) {
   OnlineSequencer seq = make();
-  seq.on_message(msg(1, 0, 1.0, 1.001));
+  submit(seq, msg(1, 0, 1.0, 1.001));
   open_gates(seq, 1.01);
   EXPECT_EQ(seq.poll(TimePoint(2.0)).size(), 1u);
   EXPECT_TRUE(seq.poll(TimePoint(2.1)).empty());
@@ -179,7 +186,7 @@ TEST_F(OnlineSequencerTest, PollIsIdempotentBetweenArrivals) {
 
 TEST_F(OnlineSequencerTest, UnknownClientIsRejected) {
   OnlineSequencer seq = make();
-  EXPECT_DEATH(seq.on_message(msg(1, 99, 1.0, 1.0)), "precondition");
+  EXPECT_DEATH((void)seq.open_session(ClientId(99)), "precondition");
 }
 
 TEST_F(OnlineSequencerTest, ConfigValidation) {

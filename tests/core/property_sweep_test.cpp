@@ -14,6 +14,7 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "core/baselines.hpp"
 #include "core/online_sequencer.hpp"
@@ -156,17 +157,21 @@ TEST_P(PropertySweep, OnlineEmitsEachMessageOnceInRankOrder) {
               return a.id < b.id;
             });
 
+  std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
+  for (ClientId c : s.population.ids()) {
+    sessions.emplace(c, seq.open_session(c));
+  }
   std::vector<EmissionRecord> emissions;
   TimePoint last_arrival = TimePoint::epoch();
   for (const Message& m : arrivals) {
-    seq.on_message(m);
+    sessions.at(m.client).submit(m.stamp, m.id, m.arrival);
     last_arrival = m.arrival;
     for (auto& e : seq.poll(m.arrival)) emissions.push_back(std::move(e));
   }
   // Keep everyone's frontier moving, then drain far in the future.
   const TimePoint end = last_arrival + 10_s;
   for (ClientId c : s.population.ids()) {
-    seq.on_heartbeat(c, end + 10_s, end);
+    sessions.at(c).heartbeat(end + 10_s, end);
   }
   for (auto& e : seq.poll(end)) emissions.push_back(std::move(e));
 
@@ -192,7 +197,13 @@ TEST_P(PropertySweep, FlushDrainsEverythingWithDenseRanks) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;
               return a.id < b.id;
             });
-  for (const Message& m : arrivals) seq.on_message(m);
+  std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
+  for (ClientId c : s.population.ids()) {
+    sessions.emplace(c, seq.open_session(c));
+  }
+  for (const Message& m : arrivals) {
+    sessions.at(m.client).submit(m.stamp, m.id, m.arrival);
+  }
 
   const auto emissions = seq.flush(arrivals.back().arrival + 1_s);
   std::size_t total = 0;

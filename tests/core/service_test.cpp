@@ -150,41 +150,6 @@ TEST(FairOrderingServiceTest, SinkReceivesShardTaggedRankOrderedBatches) {
   EXPECT_EQ(service.pending_count(), 0u);
 }
 
-TEST(FairOrderingServiceTest, RoutedLegacyEntryPointsWork) {
-  // The session-less convenience surface: submit(Message) and
-  // heartbeat(client, ...) route per call and behave like the shard's
-  // own legacy entry points.
-  const ClientRegistry registry = make_registry(4);
-  ServiceConfig config;
-  config.with_shards(2).with_p_safe(0.99);
-  FairOrderingService service(registry, ids(4), config);
-
-  service.submit(Message{MessageId(1), ClientId(0), TimePoint(1.0),
-                         TimePoint(1.001)});
-  service.submit(Message{MessageId(2), ClientId(3), TimePoint(1.05),
-                         TimePoint(1.051)});
-  EXPECT_EQ(service.pending_count(), 2u);
-  EXPECT_EQ(service.shard(0).pending_count(), 1u);
-  EXPECT_EQ(service.shard(1).pending_count(), 1u);
-
-  for (std::uint32_t c = 0; c < 4; ++c) {
-    service.heartbeat(ClientId(c), TimePoint(20.0), TimePoint(1.1));
-  }
-  std::vector<MessageId> order;
-  EXPECT_EQ(service.poll(TimePoint(10.0),
-                         [&](EmissionRecord&& record, std::uint32_t) {
-                           for (const Message& m : record.batch.messages) {
-                             order.push_back(m.id);
-                           }
-                         }),
-            2u);
-  const std::vector<MessageId> expected = {MessageId(1), MessageId(2)};
-  EXPECT_EQ(order, expected);
-  EXPECT_DEATH(service.submit(Message{MessageId(3), ClientId(77),
-                                      TimePoint(2.0), TimePoint(2.0)}),
-               "precondition");
-}
-
 TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   // A sharded service must behave exactly like N bare sequencers, each
   // fed its routed sub-stream: randomized check, per-shard bit-identical
@@ -223,7 +188,11 @@ TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   }
 
   std::unordered_map<ClientId, FairOrderingService::Session> sessions;
-  for (ClientId c : pop.ids()) sessions.emplace(c, service.open_session(c));
+  std::unordered_map<ClientId, OnlineSequencer::Session> twin_sessions;
+  for (ClientId c : pop.ids()) {
+    sessions.emplace(c, service.open_session(c));
+    twin_sessions.emplace(c, twins[service.shard_of(c)]->open_session(c));
+  }
 
   std::vector<std::vector<EmissionRecord>> service_out(kShards);
   auto sink = [&](EmissionRecord&& record, std::uint32_t shard) {
@@ -235,17 +204,15 @@ TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   std::size_t k = 0;
   for (const auto& om : observed) {
     now = std::max(now, om.message.arrival);
-    const std::uint32_t shard = service.shard_of(om.message.client);
     sessions.at(om.message.client)
         .submit(om.message.stamp, om.message.id, now);
-    Message copy = om.message;
-    copy.arrival = now;
-    twins[shard]->on_message(copy);
+    twin_sessions.at(om.message.client)
+        .submit(om.message.stamp, om.message.id, now);
     ++k;
     if (k % 11 == 0) {
       for (ClientId c : pop.ids()) {
         sessions.at(c).heartbeat(now, now);
-        twins[service.shard_of(c)]->on_heartbeat(c, now, now);
+        twin_sessions.at(c).heartbeat(now, now);
       }
     }
     if (k % 5 == 0) {
@@ -259,7 +226,7 @@ TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   }
   for (ClientId c : pop.ids()) {
     sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
-    twins[service.shard_of(c)]->on_heartbeat(c, now + 1_s, now + 1_ms);
+    twin_sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
   }
   service.poll(now + 1_s, sink);
   service.flush(now + 2_s, sink);
@@ -375,7 +342,7 @@ TEST(FairOrderingServiceTest, OpenSessionOnUnknownClientDies) {
 
 TEST(FairOrderingServiceTest, OpenSessionOnRegisteredButUnexpectedClientDies) {
   // Registry knows client 2, but the sequencer's expected set does not:
-  // sessions (like the legacy entry points) must refuse it.
+  // open_session must refuse it.
   const ClientRegistry registry = make_registry(3);
   OnlineConfig config;
   config.p_safe = 0.99;
@@ -431,11 +398,12 @@ TEST(FairOrderingServiceTest, OutOfOrderArrivalDies) {
                  "precondition");
   }
   {
+    // Across sessions too: FIFO is per sequencer, not per session.
     OnlineSequencer seq(registry, ids(2), config);
-    seq.on_message(Message{MessageId(1), ClientId(0), TimePoint(1.0),
-                           TimePoint(2.0)});
-    EXPECT_DEATH(seq.on_message(Message{MessageId(2), ClientId(1),
-                                        TimePoint(1.1), TimePoint(1.0)}),
+    seq.open_session(ClientId(0))
+        .submit(TimePoint(1.0), MessageId(1), TimePoint(2.0));
+    auto other = seq.open_session(ClientId(1));
+    EXPECT_DEATH(other.submit(TimePoint(1.1), MessageId(2), TimePoint(1.0)),
                  "precondition");
   }
 }
@@ -483,7 +451,7 @@ TEST(FairOrderingServiceTest, CustomSinkClassTakesTheSinkOverload) {
   auto session = service.open_session(ClientId(0));
   session.submit(TimePoint(1.0), MessageId(1), TimePoint(1.001));
   session.heartbeat(TimePoint(20.0), TimePoint(1.1));
-  service.heartbeat(ClientId(1), TimePoint(20.0), TimePoint(1.1));
+  service.open_session(ClientId(1)).heartbeat(TimePoint(20.0), TimePoint(1.1));
 
   CountingSink sink;
   EXPECT_EQ(service.poll(TimePoint(10.0), sink), 1u);

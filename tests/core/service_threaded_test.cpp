@@ -353,20 +353,6 @@ TEST(ServiceThreadedTest, GlobalMergeDeliversSameRecordsTotallyOrdered) {
   }
 }
 
-TEST(ServiceThreadedTest, LegacyEntryPointsDieUnderWorkerThreads) {
-  ClientRegistry registry;
-  registry.announce(ClientId(0), std::make_unique<stats::Gaussian>(0.0, 1e-3));
-  registry.announce(ClientId(1), std::make_unique<stats::Gaussian>(0.0, 1e-3));
-  ServiceConfig config;
-  config.with_p_safe(0.99).with_worker_threads();
-  FairOrderingService service(registry, {ClientId(0), ClientId(1)}, config);
-  EXPECT_DEATH(service.submit(Message{MessageId(1), ClientId(0),
-                                      TimePoint(1.0), TimePoint(1.0)}),
-               "precondition");
-  EXPECT_DEATH(service.heartbeat(ClientId(0), TimePoint(1.0), TimePoint(1.0)),
-               "precondition");
-}
-
 TEST(ServiceThreadedTest, ReferenceModeRefusesWorkerThreads) {
   ClientRegistry registry;
   registry.announce(ClientId(0), std::make_unique<stats::Gaussian>(0.0, 1e-3));

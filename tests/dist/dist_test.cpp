@@ -1,7 +1,9 @@
 // Unit coverage for the dist tier's moving parts in isolation — the
 // topology partition identity, the merge node's per-peer protocol state
-// machine (duplicates, gaps, epochs, the frontier gate), and the relay
-// splice — over socketpairs; the end-to-end topology proof lives in
+// machine (duplicates, gaps, epochs, the frontier gate), the one merge
+// order every holdback and the subscriber share, the relay splice, and
+// a default-clocked shard node's silence timeout — over socketpairs and
+// local sockets; the end-to-end topology proof lives in
 // multinode_soak_test.cpp.
 #include <gtest/gtest.h>
 
@@ -20,6 +22,8 @@
 #include "dist/merge_subscriber.hpp"
 #include "dist/shard_node.hpp"
 #include "dist/topology.hpp"
+#include "common/rng.hpp"
+#include "core/merge_holdback.hpp"
 #include "net/framing.hpp"
 #include "../net/wire_test_util.hpp"
 
@@ -314,6 +318,192 @@ TEST(MergeNode, StrictGateHoldsRecordAtExactFrontier) {
   EXPECT_EQ(h.merge.held_count(), 0u);
 }
 
+// ── The one merge order: MergeHoldback over both record types ─────────
+
+/// How each holdback caller files a record: the in-process service holds
+/// EmissionRecords with the shard tag in the key, MergeNode holds wire
+/// batches keyed by merge_key().
+struct ServiceRecords {
+  using Record = core::EmissionRecord;
+  static void push(core::MergeHoldback<Record>& holdback,
+                   const core::MergeKey& key) {
+    Record record;
+    record.batch.rank = key.rank;
+    record.safe_time = key.safe_time;
+    holdback.push(core::MergeKey{record.safe_time, key.source,
+                                 record.batch.rank},
+                  std::move(record));
+  }
+  /// The key the released record itself carries back out.
+  static core::MergeKey carried(const core::MergeKey& key,
+                                const Record& record) {
+    return core::MergeKey{record.safe_time, key.source, record.batch.rank};
+  }
+};
+
+struct WireRecords {
+  using Record = OrderedBatch;
+  static void push(core::MergeHoldback<Record>& holdback,
+                   const core::MergeKey& key) {
+    Record batch =
+        make_batch(key.source, 0, key.rank, key.safe_time.seconds());
+    const core::MergeKey batch_key = merge_key(batch);
+    holdback.push(batch_key, std::move(batch));
+  }
+  static core::MergeKey carried(const core::MergeKey&, const Record& batch) {
+    return merge_key(batch);
+  }
+};
+
+template <typename Records>
+class MergeOrder : public ::testing::Test {
+ protected:
+  using Record = typename Records::Record;
+
+  /// Releases one round, checking every record carries its key out.
+  std::vector<core::MergeKey> release(core::MergeHoldback<Record>& holdback,
+                                      TimePoint gate, bool release_all) {
+    std::vector<core::MergeKey> out;
+    const std::size_t n = holdback.release(
+        gate, release_all, [&out](const core::MergeKey& key, Record&& r) {
+          EXPECT_EQ(Records::carried(key, r), key);
+          out.push_back(key);
+        });
+    EXPECT_EQ(n, out.size());
+    return out;
+  }
+
+  /// Random keys that tie on safe_time (a 0.5 s grid) and on source
+  /// (three sources), pushed over release rounds whose gates climb the
+  /// same grid. A round only pushes keys at or past the previous gate —
+  /// what a caller's frontier guarantees — and every (source, rank) is
+  /// unique, as each source's dense ranks are.
+  std::vector<core::MergeKey> run_rounds(std::uint64_t seed,
+                                         std::vector<core::MergeKey>& pushed) {
+    Rng rng(seed);
+    core::MergeHoldback<Record> holdback;
+    std::vector<Rank> next_rank(3, 0);
+    std::vector<core::MergeKey> released;
+    for (int round = 1; round <= 12; ++round) {
+      const std::int64_t floor_step = round - 1;
+      const auto count = rng.uniform_int(0, 12);
+      for (std::int64_t k = 0; k < count; ++k) {
+        const auto step = rng.uniform_int(floor_step, floor_step + 6);
+        const auto source = static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+        const core::MergeKey key{TimePoint(0.5 * static_cast<double>(step)),
+                                 source, next_rank[source]++};
+        Records::push(holdback, key);
+        pushed.push_back(key);
+      }
+      const TimePoint gate(0.5 * round);
+      for (const core::MergeKey& key : release(holdback, gate, false)) {
+        EXPECT_LT(key.safe_time, gate);
+        released.push_back(key);
+      }
+      for (const auto& held : holdback) {
+        EXPECT_GE(held.key.safe_time, gate);
+      }
+    }
+    for (const core::MergeKey& key :
+         release(holdback, TimePoint::infinite_future(), true)) {
+      released.push_back(key);
+    }
+    EXPECT_EQ(holdback.size(), 0u);
+    return released;
+  }
+};
+
+using RecordTypes = ::testing::Types<ServiceRecords, WireRecords>;
+TYPED_TEST_SUITE(MergeOrder, RecordTypes);
+
+TYPED_TEST(MergeOrder, ReleasesAcrossRoundsEqualAStableSortByKey) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    std::vector<core::MergeKey> pushed;
+    const std::vector<core::MergeKey> released =
+        this->run_rounds(seed, pushed);
+    std::vector<core::MergeKey> sorted = pushed;
+    std::stable_sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(released, sorted) << "seed " << seed;
+  }
+}
+
+TYPED_TEST(MergeOrder, RecordExactlyAtTheGateStaysHeld) {
+  core::MergeHoldback<typename TypeParam::Record> holdback;
+  TypeParam::push(holdback, core::MergeKey{TimePoint(2.0), 0, 0});
+  TypeParam::push(holdback, core::MergeKey{TimePoint(1.5), 1, 0});
+  const auto first = this->release(holdback, TimePoint(2.0), false);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].safe_time, TimePoint(1.5));
+  EXPECT_EQ(holdback.size(), 1u);
+  EXPECT_TRUE(this->release(holdback, TimePoint(2.0), false).empty());
+  EXPECT_EQ(this->release(holdback, TimePoint(2.0), true).size(), 1u);
+  EXPECT_EQ(holdback.size(), 0u);
+}
+
+/// A bare downlink endpoint whose test owns the server side of the
+/// first accepted connection.
+struct DownlinkStub {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::shared_ptr<ByteStream> server;
+  net::StreamAcceptor acceptor;
+  std::string path = fresh_unix_path();
+
+  DownlinkStub()
+      : acceptor([this](std::shared_ptr<ByteStream> stream) {
+          std::lock_guard<std::mutex> lock(mutex);
+          server = std::move(stream);
+          cv.notify_all();
+        }) {
+    EXPECT_TRUE(acceptor.listen_unix(path));
+  }
+
+  [[nodiscard]] std::shared_ptr<ByteStream> accept() {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, std::chrono::seconds(5),
+                [this] { return server != nullptr; });
+    return server;
+  }
+};
+
+TYPED_TEST(MergeOrder, SubscriberOrderCheckAgreesWithMergeKey) {
+  // What the holdback releases, the subscriber accepts in full; a record
+  // whose key does not exceed the last one — here a tie on safe_time and
+  // source at an already-consumed rank — is an order violation.
+  std::vector<core::MergeKey> pushed;
+  const std::vector<core::MergeKey> released = this->run_rounds(7, pushed);
+  ASSERT_FALSE(released.empty());
+
+  DownlinkStub stub;
+  MergeSubscriberConfig config;
+  config.endpoints = {NodeAddress{stub.path, 0}};
+  MergeSubscriber subscriber(config);
+  subscriber.start();
+  auto server = stub.accept();
+  ASSERT_NE(server, nullptr);
+  for (const core::MergeKey& key : released) {
+    ASSERT_TRUE(server->write_all(encode_frame(WireMessage(make_batch(
+        key.source, 0, key.rank, key.safe_time.seconds())))));
+  }
+  ASSERT_TRUE(subscriber.wait_for_released(released.size(), 5000));
+  EXPECT_EQ(subscriber.stats().error, SubscriberError::kNone);
+  std::vector<core::MergeKey> consumed;
+  for (const OrderedBatch& batch : subscriber.released()) {
+    consumed.push_back(merge_key(batch));
+  }
+  EXPECT_EQ(consumed, released);
+  EXPECT_EQ(merge_key(subscriber.watermark()), released.back());
+
+  const core::MergeKey last = released.back();
+  ASSERT_TRUE(server->write_all(encode_frame(WireMessage(
+      make_batch(last.source, 0, last.rank, last.safe_time.seconds())))));
+  ASSERT_TRUE(eventually([&] {
+    return subscriber.stats().error == SubscriberError::kOrderViolation;
+  }));
+  EXPECT_EQ(subscriber.released_count(), released.size());
+  subscriber.stop();
+}
+
 // ── RelaySet (over socketpairs) ─────────────────────────────────────────
 
 TEST(RelaySet, SplicesHandshakeAndTrafficBothWays) {
@@ -422,7 +612,8 @@ TEST(ShardNode, LateSubscriberReplaysTheFullRetainedStream) {
   config.frontend = test_frontend_config();
   ShardNode node(registry, ids(clients), config);
   const std::string uplink_path = fresh_unix_path();
-  ASSERT_TRUE(node.listen_uplink_unix(uplink_path));
+  ASSERT_TRUE(node.listen_uplink(
+      net::Endpoint{.unix_path = uplink_path, .tcp_port = 0}));
 
   // Drive ingest directly through the service (in-process), then pump.
   {
@@ -439,7 +630,8 @@ TEST(ShardNode, LateSubscriberReplaysTheFullRetainedStream) {
 
   // A merge connecting AFTER the pump must still see everything.
   MergeNode merge(1);
-  ASSERT_TRUE(merge.connect_unix(0, uplink_path));
+  ASSERT_TRUE(
+      merge.connect(0, net::Endpoint{.unix_path = uplink_path, .tcp_port = 0}));
   ASSERT_TRUE(merge.wait_for_announces(0, 1, 5000));
   EXPECT_EQ(merge.peer(0).accepted, retained - 1);
   EXPECT_EQ(merge.flush(), retained - 1);
@@ -473,7 +665,9 @@ TEST(MergeNode, DownlinkReplaysBacklogThenAttachBarrierThenLive) {
 
   const std::string downlink_path = fresh_unix_path();
   ASSERT_TRUE(h.merge.listen_downlink_unix(downlink_path));
-  auto stream = net::connect_unix(downlink_path, net::RetryPolicy{});
+  auto stream = net::dial(
+      net::Endpoint{.unix_path = downlink_path, .tcp_port = 0},
+      net::RetryPolicy{});
   ASSERT_NE(stream, nullptr);
   ASSERT_TRUE(eventually(
       [&] { return h.merge.downlink_subscriber_count() == 1; }));
@@ -573,7 +767,8 @@ TEST(ShardNode, RetentionCapBoundsBacklogAndRefusesLateSubscribers) {
   config.replay_retention_cap = 4;
   ShardNode node(registry, ids(1), config);
   const std::string uplink_path = fresh_unix_path();
-  ASSERT_TRUE(node.listen_uplink_unix(uplink_path));
+  ASSERT_TRUE(node.listen_uplink(
+      net::Endpoint{.unix_path = uplink_path, .tcp_port = 0}));
 
   // Eight empty pumps publish eight announce frames: four past the cap.
   for (int k = 0; k < 8; ++k) node.pump(TimePoint(1.0));
@@ -583,7 +778,8 @@ TEST(ShardNode, RetentionCapBoundsBacklogAndRefusesLateSubscribers) {
   // A merge attaching now cannot be replayed from frame zero: typed
   // refusal, not a silent gap.
   MergeNode merge(1);
-  ASSERT_TRUE(merge.connect_unix(0, uplink_path));
+  ASSERT_TRUE(
+      merge.connect(0, net::Endpoint{.unix_path = uplink_path, .tcp_port = 0}));
   ASSERT_TRUE(eventually(
       [&] { return merge.peer(0).error == MergeError::kReplayTruncated; }));
   EXPECT_FALSE(merge.peer(0).connected);
@@ -598,10 +794,12 @@ TEST(ShardNode, SubscriberAttachedBeforeTruncationKeepsItsLiveStream) {
   config.replay_retention_cap = 2;
   ShardNode node(registry, ids(1), config);
   const std::string uplink_path = fresh_unix_path();
-  ASSERT_TRUE(node.listen_uplink_unix(uplink_path));
+  ASSERT_TRUE(node.listen_uplink(
+      net::Endpoint{.unix_path = uplink_path, .tcp_port = 0}));
 
   MergeNode merge(1);
-  ASSERT_TRUE(merge.connect_unix(0, uplink_path));
+  ASSERT_TRUE(
+      merge.connect(0, net::Endpoint{.unix_path = uplink_path, .tcp_port = 0}));
   ASSERT_TRUE(eventually([&] { return node.subscriber_count() == 1; }));
   // Truncation happens under the attached subscriber: it already
   // consumed those frames live, so its stream stays healthy.
@@ -650,33 +848,56 @@ TEST(ShardNode, SelfClockingPumpAnnouncesAndFlushesOnStop) {
   EXPECT_FALSE(node.pump_running());
 }
 
+TEST(ShardNode, DefaultClocksHoldTheGateThroughTheSilenceBudget) {
+  // Neither the ingest arrival clock nor the pump clock is injected, so
+  // the silence timeout subtracts a default-clock arrival from a
+  // default-clock pump time. Client 1 is heard once, at t; client 0's
+  // message stamped t + 10 ms (plus a far-stamped heartbeat, so client 0
+  // never holds the gate) must stay held while client 1 is inside its
+  // silence budget and leave only once that budget has run out.
+  constexpr double kBudget = 1.0;
+  core::ClientRegistry registry = make_registry(2);
+  ShardNodeConfig config;
+  config.online.client_silence_timeout = Duration(kBudget);
+  config.pump_interval = std::chrono::microseconds(5000);
+  ShardNode node(registry, ids(2), config);
+  const net::Endpoint ingest{.unix_path = fresh_unix_path(), .tcp_port = 0};
+  const net::Endpoint uplink{.unix_path = fresh_unix_path(), .tcp_port = 0};
+  ASSERT_TRUE(node.listen_ingest(ingest));
+  ASSERT_TRUE(node.listen_uplink(uplink));
+  MergeNode merge(1);
+  ASSERT_TRUE(merge.connect(0, uplink));
+
+  std::vector<std::shared_ptr<ByteStream>> clients;
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    auto stream = net::dial(ingest, net::RetryPolicy{});
+    ASSERT_NE(stream, nullptr);
+    ASSERT_EQ(net::perform_handshake(
+                  *stream, DistributionAnnouncement{ClientId(c),
+                                                    summary_for(c)}),
+              net::HandshakeResult::kAccepted);
+    clients.push_back(std::move(stream));
+  }
+  node.start_pump();
+
+  const double t = net::system_clock_now().seconds();
+  ASSERT_TRUE(clients[1]->write_all(heartbeat_frame(1, t)));
+  ASSERT_TRUE(clients[0]->write_all(message_frame(0, 1, t + 0.010)));
+  ASSERT_TRUE(clients[0]->write_all(heartbeat_frame(0, t + 10.0)));
+
+  // Well past T_b, well inside the budget: still held.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(merge.peer(0).accepted, 0u);
+
+  ASSERT_TRUE(eventually([&] { return merge.peer(0).accepted == 1; },
+                         static_cast<int>(kBudget * 1000) + 5000));
+  EXPECT_GE(net::system_clock_now().seconds() - t, kBudget);
+  for (const auto& stream : clients) stream->shutdown();
+  merge.stop();
+  node.stop();
+}
+
 // ── MergeSubscriber protocol errors (hand-fed downlink) ─────────────────
-
-/// A bare downlink endpoint whose test owns the server side of the
-/// first accepted connection.
-struct DownlinkStub {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::shared_ptr<ByteStream> server;
-  net::StreamAcceptor acceptor;
-  std::string path = fresh_unix_path();
-
-  DownlinkStub()
-      : acceptor([this](std::shared_ptr<ByteStream> stream) {
-          std::lock_guard<std::mutex> lock(mutex);
-          server = std::move(stream);
-          cv.notify_all();
-        }) {
-    EXPECT_TRUE(acceptor.listen_unix(path));
-  }
-
-  [[nodiscard]] std::shared_ptr<ByteStream> accept() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait_for(lock, std::chrono::seconds(5),
-                [this] { return server != nullptr; });
-    return server;
-  }
-};
 
 TEST(MergeSubscriber, OrderViolationIsTerminalNotACutover) {
   DownlinkStub stub;

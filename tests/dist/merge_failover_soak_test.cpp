@@ -72,7 +72,9 @@ std::vector<CapturedBatch> captured_of(
 [[nodiscard]] std::shared_ptr<ByteStream> stream_client(
     const std::string& router_path, std::uint32_t client,
     const std::vector<Event>& events) {
-  auto stream = net::connect_unix(router_path, net::RetryPolicy{});
+  auto stream = net::dial(
+      net::Endpoint{.unix_path = router_path, .tcp_port = 0},
+      net::RetryPolicy{});
   if (stream == nullptr) return nullptr;
   if (perform_handshake(*stream, DistributionAnnouncement{
                                      ClientId(client), summary_for(client)})
@@ -134,8 +136,8 @@ void run_failover(std::uint32_t node_count, Fault fault, std::uint64_t seed) {
     config.frontend = test_frontend_config();
     auto shard = std::make_unique<ShardNode>(registry,
                                              topology.partition(node), config);
-    ASSERT_TRUE(shard->listen_ingest_unix(endpoints[node].ingest.unix_path));
-    ASSERT_TRUE(shard->listen_uplink_unix(endpoints[node].uplink.unix_path));
+    ASSERT_TRUE(shard->listen_ingest(endpoints[node].ingest));
+    ASSERT_TRUE(shard->listen_uplink(endpoints[node].uplink));
     nodes[node] = std::move(shard);
   };
   for (std::uint32_t n = 0; n < node_count; ++n) {
@@ -145,7 +147,8 @@ void run_failover(std::uint32_t node_count, Fault fault, std::uint64_t seed) {
 
   RouterNode router(topology);
   const std::string router_path = fresh_unix_path();
-  ASSERT_TRUE(router.listen_unix(router_path));
+  ASSERT_TRUE(router.listen(
+      net::Endpoint{.unix_path = router_path, .tcp_port = 0}));
 
   // ── The replicated merge tier: primary + hot standby ─────────────────
   const std::string primary_downlink = fresh_unix_path();
@@ -155,7 +158,7 @@ void run_failover(std::uint32_t node_count, Fault fault, std::uint64_t seed) {
     auto merge = std::make_unique<MergeNode>(node_count);
     EXPECT_TRUE(merge->listen_downlink_unix(downlink_path));
     for (std::uint32_t n = 0; n < node_count; ++n) {
-      EXPECT_TRUE(merge->connect_unix(n, endpoints[n].uplink.unix_path));
+      EXPECT_TRUE(merge->connect(n, endpoints[n].uplink));
     }
     return merge;
   };
@@ -264,9 +267,9 @@ void run_failover(std::uint32_t node_count, Fault fault, std::uint64_t seed) {
     ASSERT_TRUE(eventually([&] { return !standby->peer(0).connected; }));
 
     start_node(0, /*epoch=*/1, registries[0]);
-    ASSERT_TRUE(standby->connect_unix(0, endpoints[0].uplink.unix_path));
+    ASSERT_TRUE(standby->connect(0, endpoints[0].uplink));
     // The partition's clients lost their relays; they reconnect through
-    // the router (connect_retry absorbs the restart window) and resend.
+    // the router (the dial retry absorbs the restart window) and resend.
     run_clients(topology.partition(0));
     await_ingest(0);
     // Replay the schedule so far: rank collisions with the accepted

@@ -90,7 +90,9 @@ PartitionTotals count_partition(
 [[nodiscard]] std::shared_ptr<ByteStream> stream_client(
     const std::string& router_path, std::uint32_t client,
     const std::vector<Event>& events) {
-  auto stream = net::connect_unix(router_path, net::RetryPolicy{});
+  auto stream = net::dial(
+      net::Endpoint{.unix_path = router_path, .tcp_port = 0},
+      net::RetryPolicy{});
   if (stream == nullptr) return nullptr;
   if (perform_handshake(*stream, DistributionAnnouncement{
                                      ClientId(client), summary_for(client)})
@@ -144,8 +146,8 @@ void run_scenario(std::uint32_t node_count, std::uint32_t kill_node,
     config.frontend = test_frontend_config();
     auto shard = std::make_unique<ShardNode>(
         registry, topology.partition(node), config);
-    ASSERT_TRUE(shard->listen_ingest_unix(endpoints[node].ingest.unix_path));
-    ASSERT_TRUE(shard->listen_uplink_unix(endpoints[node].uplink.unix_path));
+    ASSERT_TRUE(shard->listen_ingest(endpoints[node].ingest));
+    ASSERT_TRUE(shard->listen_uplink(endpoints[node].uplink));
     nodes[node] = std::move(shard);
   };
   nodes.resize(node_count);
@@ -156,11 +158,12 @@ void run_scenario(std::uint32_t node_count, std::uint32_t kill_node,
 
   RouterNode router(topology);
   const std::string router_path = fresh_unix_path();
-  ASSERT_TRUE(router.listen_unix(router_path));
+  ASSERT_TRUE(router.listen(
+      net::Endpoint{.unix_path = router_path, .tcp_port = 0}));
 
   MergeNode merge(node_count);
   for (std::uint32_t n = 0; n < node_count; ++n) {
-    ASSERT_TRUE(merge.connect_unix(n, endpoints[n].uplink.unix_path));
+    ASSERT_TRUE(merge.connect(n, endpoints[n].uplink));
   }
 
   // ── Clients stream their full workloads through the router ───────────
@@ -235,8 +238,7 @@ void run_scenario(std::uint32_t node_count, std::uint32_t kill_node,
         eventually([&] { return !merge.peer(kill_node).connected; }));
 
     start_node(kill_node, /*epoch=*/1, registries[kill_node]);
-    ASSERT_TRUE(merge.connect_unix(kill_node,
-                                   endpoints[kill_node].uplink.unix_path));
+    ASSERT_TRUE(merge.connect(kill_node, endpoints[kill_node].uplink));
     // The partition's clients lost their relays; they reconnect through
     // the router and resend from scratch (the client resend protocol).
     run_clients(topology.partition(kill_node));

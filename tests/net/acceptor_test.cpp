@@ -49,7 +49,7 @@ TEST(FrameServer, TcpAcceptsAndOrdersASingleClient) {
   ASSERT_NE(server.port(), 0);
   ASSERT_TRUE(server.running());
 
-  auto wire = connect_tcp(server.port());
+  auto wire = dial(Endpoint{.unix_path = {}, .tcp_port = server.port()});
   ASSERT_NE(wire, nullptr);
   const auto workload = make_workload(1, 10, /*seed=*/3);
   run_client(*wire, 0, workload[0]);
@@ -91,7 +91,7 @@ TEST(FrameServer, UnixSocketEmissionsMatchDirectDriveWithConcurrentClients) {
   std::vector<std::thread> clients;
   for (std::uint32_t c = 0; c < 4; ++c) {
     clients.emplace_back([&path, &workload, c] {
-      auto wire = connect_unix(path);
+      auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0});
       ASSERT_NE(wire, nullptr);
       run_client(*wire, c, workload[c]);
     });
@@ -119,7 +119,7 @@ TEST(FrameServer, HandshakeRacesResolveToOneTypedOutcomePerConnection) {
   std::atomic<int> write_failures{0};
   for (int i = 0; i < 8; ++i) {
     clients.emplace_back([&server, &write_failures, i] {
-      auto wire = connect_tcp(server.port());
+      auto wire = dial(Endpoint{.unix_path = {}, .tcp_port = server.port()});
       ASSERT_NE(wire, nullptr);
       std::vector<std::uint8_t> bytes;
       if (i < 4) {
@@ -172,7 +172,7 @@ TEST(FrameServer, TornHandshakeThenDropIsContainedAndReaped) {
 
   // A client that sends half its announcement frame, then vanishes.
   {
-    auto wire = connect_tcp(server.port());
+    auto wire = dial(Endpoint{.unix_path = {}, .tcp_port = server.port()});
     ASSERT_NE(wire, nullptr);
     const auto handshake = announce_frame(1);
     ASSERT_TRUE(wire->write_all(std::span<const std::uint8_t>(
@@ -190,7 +190,7 @@ TEST(FrameServer, TornHandshakeThenDropIsContainedAndReaped) {
   EXPECT_EQ(service.pending_count(), 0u);
 
   // The server is unharmed: a well-behaved client works afterwards.
-  auto wire = connect_tcp(server.port());
+  auto wire = dial(Endpoint{.unix_path = {}, .tcp_port = server.port()});
   ASSERT_NE(wire, nullptr);
   const auto workload = make_workload(1, 5, /*seed=*/9);
   run_client(*wire, 0, workload[0]);
@@ -215,7 +215,7 @@ TEST(FrameServer, StopDuringActiveTrafficJoinsEverythingCleanly) {
   std::atomic<bool> go{false};
   for (std::uint32_t c = 0; c < 4; ++c) {
     clients.emplace_back([port, c, &go] {
-      auto wire = connect_tcp(port);
+      auto wire = dial(Endpoint{.unix_path = {}, .tcp_port = port});
       if (wire == nullptr) return;
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       if (!wire->write_all(announce_frame(c))) return;
@@ -479,7 +479,7 @@ TEST(ConnectRetry, UnixConnectSurvivesTheServerStartupRace) {
     }
     base_sleep(d);
   };
-  auto stream = connect_unix(path, retry.policy);
+  auto stream = dial(Endpoint{.unix_path = path, .tcp_port = 0}, retry.policy);
   ASSERT_NE(stream, nullptr);
   EXPECT_GE(retry.slept.size(), 1u);
   server.stop();
@@ -493,7 +493,9 @@ TEST(ConnectRetry, NonTransientUnixFailureDoesNotRetry) {
   ASSERT_NE(f, nullptr);
   std::fclose(f);
   RecordedRetry retry(/*attempts=*/10);
-  EXPECT_EQ(connect_unix(file + "/sub.sock", retry.policy), nullptr);
+  EXPECT_EQ(dial(Endpoint{.unix_path = file + "/sub.sock", .tcp_port = 0},
+                 retry.policy),
+            nullptr);
   EXPECT_TRUE(retry.slept.empty());
   std::remove(file.c_str());
 }
@@ -512,13 +514,17 @@ TEST(ConnectRetry, RefusedTcpConnectExhaustsExactlyTheBudget) {
     server.stop();
   }
   RecordedRetry retry(/*attempts=*/3);
-  EXPECT_EQ(connect_tcp(dead_port, retry.policy), nullptr);
+  EXPECT_EQ(
+      dial(Endpoint{.unix_path = {}, .tcp_port = dead_port}, retry.policy),
+      nullptr);
   EXPECT_EQ(retry.slept.size(), 2u);
 }
 
 TEST(ConnectRetry, MissingUnixSocketExhaustsExactlyTheBudget) {
   RecordedRetry retry(/*attempts=*/4);
-  EXPECT_EQ(connect_unix(fresh_unix_path(), retry.policy), nullptr);
+  EXPECT_EQ(dial(Endpoint{.unix_path = fresh_unix_path(), .tcp_port = 0},
+                 retry.policy),
+            nullptr);
   EXPECT_EQ(retry.slept.size(), 3u);
 }
 

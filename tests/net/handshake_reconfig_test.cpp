@@ -146,7 +146,7 @@ void expect_byte_identical_reannounce_is_idempotent(ServiceConfig config) {
   ASSERT_TRUE(server.listen_unix(path));
   const std::uint64_t g0 = registry.generation();
 
-  auto wire = connect_retry(path, 0);
+  auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
   ASSERT_NE(wire, nullptr);
   std::vector<std::uint8_t> bytes = announce_frame(0);
   auto append = [&bytes](const std::vector<std::uint8_t>& frame) {
@@ -187,7 +187,7 @@ void expect_mutated_reannounce_reconfigures(ServiceConfig config) {
   ASSERT_TRUE(server.listen_unix(path));
   const std::uint64_t g0 = registry.generation();
 
-  auto wire = connect_retry(path, 0);
+  auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
   ASSERT_NE(wire, nullptr);
   std::vector<std::uint8_t> bytes = announce_frame(0);
   auto append = [&bytes](const std::vector<std::uint8_t>& frame) {
@@ -242,7 +242,7 @@ TEST(WireReconfig, JoinHandshakeRidesReconfigPendingToAnAck) {
 
   // Unknown client: the first announce is necessarily ReconfigPending
   // (expect_client + prime start); retries ride the install to an ack.
-  auto wire = connect_retry(path, 0);
+  auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
   ASSERT_NE(wire, nullptr);
   const auto result = perform_handshake(
       *wire, DistributionAnnouncement{ClientId(2), summary_for(2)});
@@ -273,7 +273,7 @@ TEST(WireReconfig, KnownClientHandshakeAcksWithoutAReconfigRound) {
   const std::string path = fresh_unix_path();
   ASSERT_TRUE(server.listen_unix(path));
 
-  auto wire = connect_retry(path, 0);
+  auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
   ASSERT_NE(wire, nullptr);
   RetryPolicy no_retries;
   no_retries.attempts = 1;  // any ReconfigPending round would fail this
@@ -300,7 +300,8 @@ TEST(WireReconfig, TornJoinAnnounceLeavesTheServiceUntouched) {
   const std::uint64_t g0 = registry.generation();
 
   {
-    auto inner = connect_retry(path, 0);
+    auto inner =
+        dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
     ASSERT_NE(inner, nullptr);
     const auto announce = announce_frame(2);
     FaultPlan plan;
@@ -322,7 +323,7 @@ TEST(WireReconfig, TornJoinAnnounceLeavesTheServiceUntouched) {
   EXPECT_FALSE(service.expects_client(ClientId(2)));
 
   // A clean retry joins as if the cut never happened.
-  auto wire = connect_retry(path, 0);
+  auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
   ASSERT_NE(wire, nullptr);
   const auto result = perform_handshake(
       *wire, DistributionAnnouncement{ClientId(2), summary_for(2)});

@@ -183,7 +183,10 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
     path = fresh_unix_path();
     EXPECT_TRUE(server.listen_unix(path));
   }
-  auto connect = [&server, &path] { return connect_retry(path, server.port()); };
+  auto connect = [&server, &path] {
+    return dial(Endpoint{.unix_path = path, .tcp_port = server.port()},
+                RetryPolicy{});
+  };
 
   std::array<std::shared_ptr<ByteStream>, 4> wires;
   std::atomic<int> write_failures{0};

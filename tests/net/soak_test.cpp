@@ -147,7 +147,8 @@ SoakOutcome run_soaked(const std::vector<std::vector<Event>>& workload,
     EXPECT_TRUE(server.listen_unix(path));
   }
   auto connect = [&server, &path]() -> std::shared_ptr<ByteStream> {
-    return connect_retry(path, server.port());
+    return dial(Endpoint{.unix_path = path, .tcp_port = server.port()},
+                RetryPolicy{});
   };
 
   std::atomic<std::uint64_t> episodes{0};
@@ -288,7 +289,7 @@ TEST(SoakOverUnixSockets, AcceptorChurnKeepsTheTableBounded) {
   ASSERT_TRUE(server.listen_unix(path));
 
   for (int cycle = 0; cycle < 60; ++cycle) {
-    auto wire = connect_unix(path);
+    auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0});
     ASSERT_NE(wire, nullptr);
     std::vector<std::uint8_t> bytes = announce_frame(0);
     const auto frame = message_frame(

@@ -68,18 +68,23 @@ TEST(FailureInjection, TimeoutRestoresLivenessAndDrainsBacklog) {
   core::OnlineConfig lenient = strict;
   lenient.client_silence_timeout = 5_ms;
   core::OnlineSequencer recovering(registry, pop.ids(), lenient);
+  std::vector<core::OnlineSequencer::Session> stalled_sessions;
+  std::vector<core::OnlineSequencer::Session> recovering_sessions;
+  for (ClientId c : pop.ids()) {
+    stalled_sessions.push_back(stalled.open_session(c));
+    recovering_sessions.push_back(recovering.open_session(c));
+  }
 
   std::uint64_t next_id = 0;
   TimePoint now = TimePoint::epoch();
   for (int round = 0; round < 50; ++round) {
     now += 200_us;
     for (std::uint32_t c = 1; c < 6; ++c) {  // client 0 is dead
-      const core::Message m{MessageId(next_id++), ClientId(c),
-                            now - Duration(20e-6), now};
-      stalled.on_message(m);
-      recovering.on_message(m);
-      stalled.on_heartbeat(ClientId(c), now, now);
-      recovering.on_heartbeat(ClientId(c), now, now);
+      const MessageId id(next_id++);
+      stalled_sessions[c].submit(now - Duration(20e-6), id, now);
+      recovering_sessions[c].submit(now - Duration(20e-6), id, now);
+      stalled_sessions[c].heartbeat(now, now);
+      recovering_sessions[c].heartbeat(now, now);
     }
   }
 
@@ -93,7 +98,7 @@ TEST(FailureInjection, TimeoutRestoresLivenessAndDrainsBacklog) {
   // (never heard => excluded as soon as a finite timeout is configured).
   now += 1_ms;
   for (std::uint32_t c = 1; c < 6; ++c) {
-    recovering.on_heartbeat(ClientId(c), now + 1_s, now);
+    recovering_sessions[c].heartbeat(now + 1_s, now);
   }
   const TimePoint poll_at = now + 3_ms;  // < 5 ms silence timeout
   const auto emissions = recovering.poll(poll_at);
@@ -116,26 +121,28 @@ TEST(FailureInjection, RecoveredClientRejoinsTheGate) {
   config.client_silence_timeout = 50_ms;
   core::OnlineSequencer seq(registry, pop.ids(), config);
 
+  core::OnlineSequencer::Session c0 = seq.open_session(ClientId(0));
+  core::OnlineSequencer::Session c1 = seq.open_session(ClientId(1));
+  core::OnlineSequencer::Session c2 = seq.open_session(ClientId(2));
+
   // Client 2 silent; others speak. After the timeout the gate ignores it.
-  seq.on_message({MessageId(1), ClientId(0), TimePoint(1.0),
-                  TimePoint(1.0001)});
-  seq.on_heartbeat(ClientId(0), TimePoint(1.01), TimePoint(1.01));
-  seq.on_heartbeat(ClientId(1), TimePoint(1.01), TimePoint(1.01));
+  c0.submit(TimePoint(1.0), MessageId(1), TimePoint(1.0001));
+  c0.heartbeat(TimePoint(1.01), TimePoint(1.01));
+  c1.heartbeat(TimePoint(1.01), TimePoint(1.01));
   ASSERT_EQ(seq.poll(TimePoint(1.01)).size(), 1u);
   EXPECT_EQ(seq.timed_out_clients(TimePoint(1.01)).size(), 1u);
 
   // Client 2 comes back: it immediately re-gates emission.
-  seq.on_heartbeat(ClientId(2), TimePoint(1.02), TimePoint(1.02));
+  c2.heartbeat(TimePoint(1.02), TimePoint(1.02));
   EXPECT_TRUE(seq.timed_out_clients(TimePoint(1.02)).empty());
 
-  seq.on_message({MessageId(2), ClientId(0), TimePoint(1.05),
-                  TimePoint(1.0501)});
+  c0.submit(TimePoint(1.05), MessageId(2), TimePoint(1.0501));
   // Client 2's high-water (1.02) is far behind the new message's T_b, so
   // emission must wait for its next heartbeat.
-  seq.on_heartbeat(ClientId(0), TimePoint(1.06), TimePoint(1.051));
-  seq.on_heartbeat(ClientId(1), TimePoint(1.06), TimePoint(1.051));
+  c0.heartbeat(TimePoint(1.06), TimePoint(1.051));
+  c1.heartbeat(TimePoint(1.06), TimePoint(1.051));
   EXPECT_TRUE(seq.poll(TimePoint(1.0511)).empty());
-  seq.on_heartbeat(ClientId(2), TimePoint(1.06), TimePoint(1.0512));
+  c2.heartbeat(TimePoint(1.06), TimePoint(1.0512));
   EXPECT_EQ(seq.poll(TimePoint(1.0512)).size(), 1u);
 }
 
