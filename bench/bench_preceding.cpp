@@ -1,6 +1,7 @@
 // Cost of the preceding-probability engine (§3.2/§3.3): the Gaussian
 // closed form versus the numeric convolution path, the effect of the
-// per-client-pair Δθ density cache, and the numeric prime against N.
+// per-client-pair Δθ density cache, and the numeric prime against N, whole
+// and derived after a join.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -152,20 +153,41 @@ void BM_SafeEmissionTimeNumericQuantile(benchmark::State& state) {
 BENCHMARK(BM_SafeEmissionTimeNumericQuantile);
 
 void BM_NumericPrime(benchmark::State& state) {
-  // The set-up cost a numeric service pays per prime (and per live
-  // reconfiguration): every ordered pair's Δθ convolution and quantile.
+  // The set-up cost a numeric service pays at construction: every ordered
+  // pair's Δθ convolution and quantile.
   const auto n = static_cast<std::size_t>(state.range(0));
   const ClientRegistry registry = numeric_registry(n);
   std::size_t cached = 0;
   for (auto _ : state) {
     const PrecedingEngine engine(registry);
-    engine.prime(0.75, 0.999, /*prefill_pairs=*/true);
+    engine.prime(0.75, 0.999);
     cached = engine.cached_pairs();
   }
   state.counters["ordered_pairs"] = static_cast<double>(n * n);
   state.counters["cached_pairs"] = static_cast<double>(cached);
 }
 BENCHMARK(BM_NumericPrime)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
+
+void BM_NumericJoin(benchmark::State& state) {
+  // The reconfiguration primer's cost for one numeric join: a successor
+  // of the live engine copies the n² gaps of the unchanged pairs and
+  // convolves only the 2n + 1 pairs of the joiner. The joiner is client
+  // n of the same clock mix and seed.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  ClientRegistry registry = numeric_registry(n);
+  const PrecedingEngine live(registry);
+  live.prime(0.75, 0.999);
+  const ClientRegistry grown = numeric_registry(n + 1);
+  registry.announce(ClientId(static_cast<std::uint32_t>(n)),
+                    grown.distribution_at(static_cast<std::uint32_t>(n)).clone());
+  for (auto _ : state) {
+    const auto next = live.successor();
+    next->prime(0.75, 0.999);
+    benchmark::DoNotOptimize(next->fast_global_max_gap());
+  }
+  state.counters["convolved_pairs"] = static_cast<double>(2 * n + 1);
+}
+BENCHMARK(BM_NumericJoin)->Arg(40)->Arg(80);
 
 }  // namespace
 

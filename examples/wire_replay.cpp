@@ -264,13 +264,11 @@ int run_serve(const Args& args) {
   net::ServerConfig server_config;
   server_config.frontend.poller_threads = args.pollers;
   net::FrameServer server(registry, service, server_config);
-  bool listening = false;
-  if (!args.unix_path.empty()) {
-    listening = server.listen_unix(args.unix_path);
-  } else {
-    listening = server.listen_tcp(static_cast<std::uint16_t>(args.tcp_port));
-  }
-  if (!listening) {
+  // A Unix path, when given, takes precedence over the TCP port.
+  const net::Endpoint endpoint{
+      .unix_path = args.unix_path,
+      .tcp_port = static_cast<std::uint16_t>(args.tcp_port)};
+  if (!server.listen(endpoint)) {
     std::fprintf(stderr, "listen failed\n");
     return 1;
   }
@@ -480,7 +478,10 @@ int run_demo(const Args& args) {
     net::ServerConfig server_config;
     server_config.frontend = modeled_frontend();
     net::FrameServer server(registry, service, server_config);
-    if (!server.listen_unix(socket_path)) return 1;
+    if (!server.listen(
+            net::Endpoint{.unix_path = socket_path, .tcp_port = 0})) {
+      return 1;
+    }
 
     sim::ReplayOptions options;
     options.speed = speed;

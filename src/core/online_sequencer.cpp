@@ -40,31 +40,26 @@ OnlineSequencer::OnlineSequencer(const ClientRegistry& registry,
       engine_(engine_ptr_.get()),
       registry_(registry),
       config_(config),
+      owns_engine_(true),
       expected_clients_(std::move(expected_clients)) {
   init_expected_clients();
+  if (!config_.reference_mode) {
+    engine_->prime(config_.threshold, config_.p_safe);
+  }
 }
 
 OnlineSequencer::OnlineSequencer(std::shared_ptr<const PrecedingEngine> engine,
                                  std::vector<ClientId> expected_clients,
-                                 OnlineConfig config, bool pinned)
+                                 OnlineConfig config)
     : engine_ptr_(require_engine(std::move(engine))),
       engine_(engine_ptr_.get()),
       registry_(engine_ptr_->registry()),
       config_(config),
-      pinned_(pinned),
       expected_clients_(std::move(expected_clients)) {
-  // Every sequencer sharing an engine must agree on (threshold, p_safe):
-  // a mismatch would not be wrong, but each caller would re-prime the
-  // whole engine on every ingest/poll — a silent orders-of-magnitude
-  // slowdown. Catch it at construction instead.
-  TOMMY_EXPECTS(config_.reference_mode || !engine_->fast_primed() ||
+  // The engine's owner primes it; every sequencer sharing it must agree on
+  // (threshold, p_safe), since none of them may re-prime it.
+  TOMMY_EXPECTS(config_.reference_mode ||
                 engine_->fast_params_match(config_.threshold, config_.p_safe));
-  // Pinned mode relies on the engine being a finished, immutable epoch:
-  // prefilled tables, matching parameters, no lazy fills ever.
-  TOMMY_EXPECTS(!pinned_ ||
-                (!config_.reference_mode && engine_->fast_prefilled() &&
-                 engine_->fast_params_match(config_.threshold,
-                                            config_.p_safe)));
   init_expected_clients();
 }
 
@@ -86,9 +81,6 @@ void OnlineSequencer::init_expected_clients() {
     state.id = c;
     state.cindex = cindex;
     clients_.push_back(state);
-  }
-  if (!config_.reference_mode) {
-    engine_->prime(config_.threshold, config_.p_safe);
   }
   unheard_count_ = clients_.size();
   heap_.reserve(clients_.size());
@@ -113,10 +105,6 @@ void OnlineSequencer::register_client(ClientId client) {
   heap_pos_.push_back(kNotInHeap);
 }
 
-std::uint64_t OnlineSequencer::current_generation() const {
-  return pinned_ ? engine_->fast_generation() : registry_.generation();
-}
-
 std::uint32_t OnlineSequencer::slot_of(ClientId client) const {
   // Unknown-to-the-registry clients die inside index_of; clients the
   // registry knows but this sequencer does not expect die here. Both are
@@ -128,7 +116,7 @@ std::uint32_t OnlineSequencer::slot_of(ClientId client) const {
 }
 
 void OnlineSequencer::refresh_session(Session& session) const {
-  session.generation_ = current_generation();
+  session.generation_ = engine_->fast_generation();
   if (config_.reference_mode) return;  // no cached constants to refresh
   session.mean_offset_ = engine_->fast_mean(session.cindex_);
   session.safe_offset_ = engine_->fast_safe_offset(session.cindex_);
@@ -209,7 +197,7 @@ void OnlineSequencer::session_submit(Session& session, TimePoint stamp,
   }
   last_arrival_ = std::max(last_arrival_, now);
   if (!config_.reference_mode &&
-      session.generation_ != current_generation()) {
+      session.generation_ != engine_->fast_generation()) {
     refresh_session(session);
   }
 
@@ -239,7 +227,7 @@ void OnlineSequencer::session_submit_batch(Session& session,
   if (items.empty()) return;
   maybe_reprime();
   if (!config_.reference_mode &&
-      session.generation_ != current_generation()) {
+      session.generation_ != engine_->fast_generation()) {
     refresh_session(session);
   }
 
@@ -300,8 +288,11 @@ void OnlineSequencer::maybe_reprime() {
     if (registry_.generation() != ref_generation_) resort_reference_buffer();
     return;
   }
-  if (pinned_) return;  // epoch-pinned: announces wait for rebind_engine
-  if (engine_->fast_ready(config_.threshold, config_.p_safe)) return;
+  // A shared engine is an immutable epoch: announces wait for
+  // rebind_engine.
+  if (!owns_engine_ || engine_->fast_ready(config_.threshold, config_.p_safe)) {
+    return;
+  }
   engine_->prime(config_.threshold, config_.p_safe);
   refresh_epoch_state();
 }
@@ -352,17 +343,12 @@ void OnlineSequencer::rebind_engine(
     std::span<const ClientId> new_clients) {
   TOMMY_EXPECTS(engine != nullptr);
   TOMMY_EXPECTS(&engine->registry() == &registry_);
-  if (!config_.reference_mode) {
-    // The new epoch must be a finished table set for our parameters; in
-    // pinned mode it must additionally be prefilled (workers read it
-    // lock-free).
-    TOMMY_EXPECTS(engine->fast_primed() &&
-                  engine->fast_params_match(config_.threshold,
-                                            config_.p_safe));
-    TOMMY_EXPECTS(!pinned_ || engine->fast_prefilled());
-  }
+  // The new epoch must be a finished table set for our parameters.
+  TOMMY_EXPECTS(config_.reference_mode ||
+                engine->fast_params_match(config_.threshold, config_.p_safe));
   engine_ptr_ = std::move(engine);
   engine_ = engine_ptr_.get();
+  owns_engine_ = false;
   for (ClientId client : new_clients) register_client(client);
   if (config_.reference_mode) {
     // Per-query evaluation leaves no cached constants, but the buffer's

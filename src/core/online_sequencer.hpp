@@ -155,7 +155,7 @@ class OnlineSequencer {
   /// the sequencer it came from is alive (the sequencer is pinned in
   /// memory: it is neither copyable nor movable). A handle survives
   /// registry re-announces of its client: the cached offsets refresh at
-  /// the next call via the registry generation counter.
+  /// the next call once the engine's generation has moved.
   class Session {
    public:
     Session() = default;
@@ -213,19 +213,19 @@ class OnlineSequencer {
 
   /// Shard constructor: runs against a caller-owned engine (and its
   /// registry), so several sequencers can share one primed engine's flat
-  /// tables and Δθ caches — the FairOrderingService path.
-  /// `config.preceding` is ignored; the engine's own configuration rules.
+  /// tables — the FairOrderingService path. `config.preceding` is ignored;
+  /// the engine's own configuration rules.
   ///
-  /// With `pinned` the sequencer treats the engine as an immutable epoch:
-  /// it never re-primes, and sessions revalidate against the engine's
-  /// fast_generation() instead of the live registry generation, so a
-  /// concurrent registry announce cannot perturb a running shard. The
-  /// engine must be prefill-primed for (config.threshold, config.p_safe);
-  /// moving to a newer epoch is an explicit rebind_engine() call. This is
-  /// the worker-thread mode of the FairOrderingService.
+  /// The sequencer treats the shared engine as an immutable epoch: the
+  /// engine must already be primed for (config.threshold, config.p_safe),
+  /// the sequencer never re-primes it, and sessions revalidate against the
+  /// engine's fast_generation(). A registry announce therefore reaches the
+  /// sequencer only when rebind_engine() installs a fresher engine.
+  /// Reference mode reads the registry on every query instead and needs no
+  /// primed engine.
   OnlineSequencer(std::shared_ptr<const PrecedingEngine> engine,
                   std::vector<ClientId> expected_clients,
-                  OnlineConfig config = {}, bool pinned = false);
+                  OnlineConfig config = {});
 
   // Sessions cache a pointer to the sequencer; pin it in memory.
   OnlineSequencer(const OnlineSequencer&) = delete;
@@ -285,8 +285,8 @@ class OnlineSequencer {
   /// would. Sessions refresh themselves lazily at their next call via the
   /// generation compare. The caller must guarantee no concurrent use of
   /// this sequencer (in the threaded service the owning worker runs this
-  /// between drains); in pinned mode the new engine must be
-  /// prefill-primed for this sequencer's (threshold, p_safe).
+  /// between drains); the new engine must be primed for this sequencer's
+  /// (threshold, p_safe).
   void rebind_engine(std::shared_ptr<const PrecedingEngine> engine,
                      std::span<const ClientId> new_clients);
 
@@ -351,13 +351,8 @@ class OnlineSequencer {
   /// retire_client pay (registry id → dense index, then a flat array).
   /// Precondition: `client` is an expected client.
   [[nodiscard]] std::uint32_t slot_of(ClientId client) const;
-  /// The generation sessions revalidate against: the live registry
-  /// generation normally, the engine's build generation when pinned (so
-  /// announces only take effect at an explicit rebind).
-  [[nodiscard]] std::uint64_t current_generation() const;
   /// Re-reads a session's cached per-client offsets from the engine's
-  /// flat tables (fast mode) and stamps it with the current registry
-  /// generation.
+  /// flat tables (fast mode) and stamps it with the engine's generation.
   void refresh_session(Session& session) const;
   /// The session-table ingest core every entry surface shares. `relaxed`
   /// skips the cross-session FIFO arrival assertion (see
@@ -375,11 +370,12 @@ class OnlineSequencer {
   /// Violation accounting + ordered buffer insert (both modes).
   void ingest(Buffered entry);
   void refresh_entry(Buffered& entry) const;
-  /// Fast mode: re-primes the engine and refreshes cached entry constants
-  /// after a registry re-announce (takes effect at the next ingest or
-  /// poll). A re-announce can reorder corrected stamps relative to the
-  /// stored buffer order, so the refresh re-sorts the buffer under the
-  /// fresh keys — the sorted invariant (and with it every windowed early
+  /// Fast mode, own engine only: re-primes the engine and refreshes cached
+  /// entry constants after a registry re-announce (takes effect at the
+  /// next ingest or poll); a shared engine is never re-primed here. A
+  /// re-announce can reorder corrected stamps relative to the stored
+  /// buffer order, so the refresh re-sorts the buffer under the fresh
+  /// keys — the sorted invariant (and with it every windowed early
   /// exit) holds unconditionally. Reference mode mirrors the same
   /// boundary: a registry generation change triggers
   /// resort_reference_buffer(), so both modes re-key and re-order at the
@@ -438,8 +434,8 @@ class OnlineSequencer {
   const PrecedingEngine* engine_;
   const ClientRegistry& registry_;
   OnlineConfig config_;
-  /// Epoch-pinned mode (see the shared-engine constructor).
-  bool pinned_{false};
+  /// Built by the registry constructor: the only case that re-primes.
+  bool owns_engine_{false};
   std::vector<ClientId> expected_clients_;
   std::vector<ClientState> clients_;  // parallel to expected_clients_
   /// Registry dense index → completeness-gate slot (kNoSlot = not an

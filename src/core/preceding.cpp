@@ -67,8 +67,7 @@ double PrecedingEngine::preceding_probability(const Message& i,
 const stats::GridDensity& PrecedingEngine::difference_density_for(
     ClientId from, ClientId to) const {
   // A re-announce invalidates every cached Δθ density; dropping them here
-  // keeps the slow path and the lazily-filled critical gaps consistent
-  // with the current distributions (and with each other).
+  // keeps the slow path consistent with the current distributions.
   if (cache_generation_ != registry_.generation()) {
     cache_.clear();
     lru_.clear();
@@ -131,124 +130,121 @@ bool PrecedingEngine::fast_ready(double threshold, double p_safe) const {
 }
 
 void PrecedingEngine::prime(double threshold, double p_safe,
-                            bool prefill_pairs) const {
+                            bool /*prefill_pairs*/) const {
   TOMMY_EXPECTS(threshold > 0.5 && threshold < 1.0);
   TOMMY_EXPECTS(p_safe > 0.0 && p_safe < 1.0);
-  if (fast_ready(threshold, p_safe) && (!prefill_pairs || fast_.prefilled)) {
-    return;
-  }
-  if (!fast_ready(threshold, p_safe)) {
-    build_fast_tables(threshold, p_safe);
-  }
-  if (prefill_pairs && !fast_.prefilled) prefill_critical_gaps();
+  if (fast_ready(threshold, p_safe)) return;
+  fast_ = build_fast_tables(threshold, p_safe);
 }
 
-void PrecedingEngine::build_fast_tables(double threshold,
-                                        double p_safe) const {
+std::shared_ptr<PrecedingEngine> PrecedingEngine::successor() const {
+  auto next = std::make_shared<PrecedingEngine>(registry_, config_);
+  next->fast_ = fast_;
+  return next;
+}
 
+PrecedingEngine::FastTables PrecedingEngine::build_fast_tables(
+    double threshold, double p_safe) const {
   FastTables t;
   t.threshold = threshold;
   t.p_safe = p_safe;
+  // The generation is read before the distributions: an announce landing
+  // in between makes the tables newer than their generation says, which
+  // costs one more (derived) prime, never a stale table.
   t.generation = registry_.generation();
   t.n = registry_.size();
+  t.distribution.resize(t.n);
   t.mean.resize(t.n);
   t.safe_offset.resize(t.n);
   t.frontier_offset.resize(t.n);
   t.gaussian.resize(t.n);
   t.variance.resize(t.n);
-  t.upper_width.resize(t.n);
-  t.lower_width.resize(t.n);
-  t.support_width.resize(t.n);
-  t.critical_gap.assign(t.n * t.n,
-                        std::numeric_limits<double>::quiet_NaN());
-  t.max_gap_from.assign(t.n, 0.0);
+  t.critical_gap.resize(t.n * t.n);
+  t.max_gap_from.resize(t.n);
 
+  // A client keeps its gaps when its distribution object is the one the
+  // previous tables were built from (the tables hold it, so its address
+  // cannot be reused) and the threshold is the same.
+  const FastTables& prev = fast_;
+  std::vector<std::uint8_t> kept(t.n, 0);
   for (std::uint32_t c = 0; c < t.n; ++c) {
-    const auto d = registry_.distribution_ptr_at(c);
-    t.mean[c] = d->mean();
-    t.safe_offset[c] = d->quantile(p_safe);
-    t.frontier_offset[c] = d->quantile(1.0 - p_safe);
+    t.distribution[c] = registry_.distribution_ptr_at(c);
+    const stats::Distribution& d = *t.distribution[c];
+    t.mean[c] = d.mean();
+    t.safe_offset[c] = d.quantile(p_safe);
+    t.frontier_offset[c] = d.quantile(1.0 - p_safe);
     t.gaussian[c] =
-        static_cast<std::uint8_t>(!config_.force_numeric && d->is_gaussian());
-    t.variance[c] = d->variance();
-    // Same effective support the numeric Δθ grids are built on
-    // (stats::difference_density) — the basis of the row bounds below.
-    const stats::Support sup = d->effective_support();
-    t.upper_width[c] = sup.hi - t.mean[c];
-    t.lower_width[c] = t.mean[c] - sup.lo;
-    t.support_width[c] = sup.width();
+        static_cast<std::uint8_t>(!config_.force_numeric && d.is_gaussian());
+    t.variance[c] = d.variance();
+    kept[c] = static_cast<std::uint8_t>(
+        prev.valid && prev.threshold == threshold && c < prev.n &&
+        prev.distribution[c] == t.distribution[c]);
   }
 
-  // Gaussian pairs get exact critical gaps now (closed form, cheap).
-  // Numeric pairs stay NaN — filled on first query — but contribute a
-  // support bound to the row maxima so the windowed scans are sound
-  // before any convolution runs: the Δθ grid's lower edge is
-  // lo_j − hi_i − dx (difference_density extends the subtrahend grid's
-  // upper edge by at most one spacing dx to land on the grid), the grid
-  // quantile can never fall below that edge, so
-  //   g*_{ij} ≤ (μ_j − lo_j) + (hi_i − μ_i) + dx,
-  // with dx doubled here for floating-point headroom.
+  // Unchanged pairs copy their gap, Gaussian pairs take the closed form,
+  // and the numeric rest is convolved below.
   const double z = math::normal_quantile(threshold);
+  std::vector<std::size_t> numeric;
+  for (std::uint32_t i = 0; i < t.n; ++i) {
+    for (std::uint32_t j = 0; j < t.n; ++j) {
+      double& gap = t.critical_gap[i * t.n + j];
+      if (kept[i] && kept[j]) {
+        gap = prev.critical_gap[i * prev.n + j];
+      } else if (t.gaussian[i] && t.gaussian[j]) {
+        gap = z * std::sqrt(t.variance[i] + t.variance[j]);
+      } else {
+        numeric.push_back(i * t.n + j);
+      }
+    }
+  }
+  fill_numeric_gaps(t, numeric);
+
   double global = 0.0;
   for (std::uint32_t i = 0; i < t.n; ++i) {
     double row_max = -std::numeric_limits<double>::infinity();
     for (std::uint32_t j = 0; j < t.n; ++j) {
-      if (t.gaussian[i] && t.gaussian[j]) {
-        const double gap = z * std::sqrt(t.variance[i] + t.variance[j]);
-        t.critical_gap[i * t.n + j] = gap;
-        row_max = std::max(row_max, gap);
-      } else {
-        const double dx =
-            std::min(t.support_width[i], t.support_width[j]) /
-            static_cast<double>(config_.grid_points - 1);
-        const double bound =
-            t.lower_width[j] + t.upper_width[i] + 2.0 * dx;
-        row_max = std::max(row_max, bound);
-      }
+      row_max = std::max(row_max, t.critical_gap[i * t.n + j]);
     }
     t.max_gap_from[i] = row_max;
     global = std::max(global, row_max);
   }
   t.global_max_gap = global;
   t.valid = true;
-  fast_ = std::move(t);
+  return t;
 }
 
-void PrecedingEngine::prefill_critical_gaps() const {
-  TOMMY_ASSERT(fast_.valid);
-  // Fill every lazy slot with the value a first query would store
-  // (numeric pairs: one convolution + one quantile each), but read each
-  // quantile from a transient Δθ density: no fast_* query ever reads the
-  // densities, and caching them would pin all n² of them.
+void PrecedingEngine::fill_numeric_gaps(
+    FastTables& t, const std::vector<std::size_t>& cells) const {
+  // p(a, b) > threshold ⟺ T_a − T_b < q ⟺ c_b − c_a > (μ_j − μ_i) − q
+  // with q = tail_quantile_Δθ(threshold); see header derivation. Each
+  // quantile is read from a transient Δθ density: no fast_* query reads
+  // the densities, and caching them would pin all n² of them.
   //
-  // The slots are independent, so the calling thread and one helper per
+  // The cells are independent, so the calling thread and one helper per
   // further CPU of its affinity mask share them, taking one cell at a
   // time from a common cursor (cells, not rows: a narrow-support
   // client's row holds the widest transforms). Exactly one thread writes
-  // each slot, with the same pure computation wherever it runs, so every
-  // gap is bitwise that of a serial fill. max_gap_from, which the fill's
-  // tripwire reads, is written only after the join. No helper outlives
-  // this call; an exception thrown on a helper is rethrown here.
-  const std::size_t n = fast_.n;
-  const std::size_t cells = n * n;
-  const auto lazy = static_cast<std::size_t>(
-      std::count_if(fast_.critical_gap.begin(), fast_.critical_gap.end(),
-                    [](double gap) { return std::isnan(gap); }));
+  // each cell, with the same pure computation wherever it runs, so every
+  // gap is bitwise that of a serial fill. No helper outlives this call;
+  // an exception thrown on a helper is rethrown here.
   const std::size_t helpers =
-      lazy == 0 ? 0 : std::min(usable_cpus(), lazy) - 1;
-
+      cells.empty() ? 0 : std::min(usable_cpus(), cells.size()) - 1;
   std::atomic<std::size_t> cursor{0};
   std::vector<std::exception_ptr> errors(helpers + 1);
   auto fill = [&](std::exception_ptr& error) {
     try {
-      for (std::size_t k = cursor++; k < cells; k = cursor++) {
-        static_cast<void>(fill_critical_gap(static_cast<std::uint32_t>(k / n),
-                                            static_cast<std::uint32_t>(k % n),
-                                            /*cache_density=*/false));
+      for (std::size_t k = cursor++; k < cells.size(); k = cursor++) {
+        const std::size_t i = cells[k] / t.n;
+        const std::size_t j = cells[k] % t.n;
+        const stats::GridDensity delta = stats::difference_density(
+            *t.distribution[j], *t.distribution[i], config_.grid_points,
+            config_.method);
+        t.critical_gap[cells[k]] =
+            (t.mean[j] - t.mean[i]) - delta.tail_quantile(t.threshold);
       }
     } catch (...) {
       error = std::current_exception();
-      cursor = cells;  // the others stop at their next cell
+      cursor = cells.size();  // the others stop at their next cell
     }
   };
   {
@@ -266,58 +262,6 @@ void PrecedingEngine::prefill_critical_gaps() const {
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-
-  // Tighten the row bounds to the exact maxima — the windowed closure
-  // scans shrink from the support bound to the true uncertainty window.
-  double global = 0.0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    double row_max = -std::numeric_limits<double>::infinity();
-    for (std::uint32_t j = 0; j < n; ++j) {
-      row_max = std::max(row_max, fast_.critical_gap[i * n + j]);
-    }
-    fast_.max_gap_from[i] = row_max;
-    global = std::max(global, row_max);
-  }
-  fast_.global_max_gap = global;
-  fast_.prefilled = true;
-}
-
-double PrecedingEngine::numeric_critical_gap(std::uint32_t ci,
-                                             std::uint32_t cj,
-                                             bool cache_density) const {
-  // p(a, b) > threshold ⟺ T_a − T_b < q ⟺ c_b − c_a > (μ_j − μ_i) − q
-  // with q = tail_quantile_Δθ(threshold); see header derivation.
-  const ClientId id_i = registry_.client_at(ci);
-  const ClientId id_j = registry_.client_at(cj);
-  double q;
-  if (cache_density) {
-    q = difference_density_for(id_i, id_j).tail_quantile(fast_.threshold);
-  } else {
-    const auto dist_j = registry_.distribution_ptr_at(cj);
-    const auto dist_i = registry_.distribution_ptr_at(ci);
-    const stats::GridDensity delta = stats::difference_density(
-        *dist_j, *dist_i, config_.grid_points, config_.method);
-    q = delta.tail_quantile(fast_.threshold);
-  }
-  return (fast_.mean[cj] - fast_.mean[ci]) - q;
-}
-
-double PrecedingEngine::fast_critical_gap(std::uint32_t ci,
-                                          std::uint32_t cj) const {
-  TOMMY_ASSERT(fast_.valid && ci < fast_.n && cj < fast_.n);
-  return fill_critical_gap(ci, cj, config_.cache_difference_densities);
-}
-
-double PrecedingEngine::fill_critical_gap(std::uint32_t ci, std::uint32_t cj,
-                                          bool cache_density) const {
-  double& slot = fast_.critical_gap[ci * fast_.n + cj];
-  if (std::isnan(slot)) {
-    slot = numeric_critical_gap(ci, cj, cache_density);
-    // Tripwire for the Cantelli row bound: the exact gap must never exceed
-    // what the windowed scans assumed possible.
-    TOMMY_ASSERT(slot <= fast_.max_gap_from[ci]);
-  }
-  return slot;
 }
 
 }  // namespace tommy::core

@@ -36,29 +36,30 @@
 // on the hot path):
 //   * per client: μ_c (corrected-stamp offset), Q_c(p_safe) (safe-emission
 //     offset, §3.5), and Q_c(1 − p_safe) (completeness-frontier offset);
-//   * per pair:   g*_{ij} — Gaussian pairs eagerly (closed form), numeric
-//     pairs lazily on first query (one convolution + one quantile, then a
-//     cached double);
-//   * per row i:  an upper bound Ḡ_i ≥ max_j g*_{ij}, exact for Gaussian
-//     pairs; for numeric pairs the Δθ grid's support gives a provable
-//     bound with no convolution: the grid for θ_j − θ_i lives on
-//     [lo_j − hi_i − dx, …] (effective supports, spacing dx), its
-//     quantile can never fall below that edge, hence
-//     g*_{ij} = (μ_j − μ_i) − q ≤ (μ_j − lo_j) + (hi_i − μ_i) + dx.
-//     So lazy numeric fill never blocks the windowed closure scans that
-//     rely on Ḡ_i.
+//   * per pair:   g*_{ij} for every ordered pair — Gaussian pairs by the
+//     closed form, numeric pairs by one convolution and one quantile each;
+//   * per row i:  Ḡ_i = max_j g*_{ij}, and the global maximum max_i Ḡ_i.
+//     The windowed closure scans stop once a corrected-stamp gap exceeds
+//     them.
 //
-// A prefilled prime (prime(…, /*prefill_pairs=*/true)) instead fills
-// every numeric g*_{ij} up front and tightens Ḡ_i to the exact row
-// maxima. Its n² cells are independent, so the calling thread shares
-// them with one helper thread per further CPU of its affinity mask; the
+// The numeric cells are independent, so the calling thread shares them
+// with one helper thread per further CPU of its affinity mask; the
 // helpers are joined before prime() returns, and no thread outlives it.
+//
+// A re-prime derives: each g*_{ij} depends only on f_i, f_j, the grid
+// settings and the threshold, so it copies the gap of every pair whose two
+// distribution objects and threshold are unchanged and fills only the rows
+// and columns of joined or re-announced clients. The copy is bitwise what
+// a fresh prime computes. successor() starts a new engine from a copy of
+// a live engine's tables, so an epoch swap pays O(changed · n)
+// convolutions instead of n².
 //
 // After priming, `confidently_preceding` is a subtraction and a compare;
 // the sequencer's corrected stamps, safe-emission times and completeness
 // frontiers are one addition each. The slow per-query API below remains
 // the semantic reference (the online sequencer's reference mode uses it
-// verbatim) and is what the equivalence property tests compare against.
+// verbatim) and is what the equivalence property tests compare against;
+// it alone uses the Δθ density cache.
 #pragma once
 
 #include <cstddef>
@@ -88,12 +89,10 @@ struct PrecedingConfig {
   bool cache_difference_densities{true};
   /// Maximum number of cached Δθ densities (ordered pairs) kept at once;
   /// least-recently-used entries are evicted beyond it. 0 = unbounded
-  /// (the seed behaviour). The lazily-filled critical-gap *scalars* are
-  /// never evicted — only the O(grid_points) densities, which are the
-  /// unbounded-memory risk for large non-Gaussian client sets (the
-  /// worst case is n² densities of grid_points samples each). Only the
-  /// slow per-query path and the lazy first-query gap fill insert; a
-  /// prefilled prime leaves the cache empty.
+  /// (the seed behaviour). The worst case is n² densities of grid_points
+  /// samples each, the unbounded-memory risk for large non-Gaussian client
+  /// sets. Only the slow per-query path (preceding_probability) inserts;
+  /// prime() reads each gap from a transient density and caches none.
   std::size_t difference_cache_capacity{0};
 };
 
@@ -132,60 +131,56 @@ class PrecedingEngine {
   // registry's dense client indices (ClientRegistry::index_of).
 
   /// Builds (or refreshes) the flat constant tables for `threshold` /
-  /// `p_safe`. Idempotent and cheap when already primed for the same
-  /// parameters and registry generation. Logically const: the tables are
-  /// memoized derived state, exactly like the Δθ density cache.
+  /// `p_safe`, every critical gap filled and every row maximum exact.
+  /// Idempotent and cheap when already primed for the same parameters and
+  /// registry generation. Logically const: the tables are memoized derived
+  /// state, exactly like the Δθ density cache.
   ///
-  /// With `prefill_pairs` every critical-gap slot is filled eagerly
-  /// (numeric pairs pay their convolution + quantile here instead of on
-  /// first query) and the per-row maxima are tightened to the exact
-  /// values. Each numeric gap is read from a transient Δθ density, so the
-  /// prefill leaves the density cache empty (cached_pairs() == 0) instead
-  /// of pinning n² densities no fast_* query reads; the gaps are bitwise
-  /// those the lazy fill stores. The prefill fans out: the calling thread
-  /// and one helper per further CPU of its affinity mask take the n²
-  /// cells one at a time (no helper when the mask holds one CPU or no
-  /// slot is lazy, as in an all-Gaussian registry). Every helper is
-  /// joined before prime() returns, on every path, so no thread outlives
-  /// it; an exception thrown on a helper is rethrown on the calling
-  /// thread. The fan-out needs every Distribution's const members to be
-  /// safe to call concurrently (stats/distribution.hpp). After a
-  /// prefilled prime the engine is IMMUTABLE under the whole fast_*
-  /// surface — no lazy slot writes, no density-cache insertions — which
-  /// is what lets N shard worker threads read one shared engine with no
-  /// synchronization (see docs/architecture.md, "Threading model"). The
-  /// default lazy fill remains for single-threaded use, where first-query
-  /// filling spreads the O(n²) convolution cost over the warmup instead
-  /// of the constructor.
+  /// Each client's distribution is read from the registry once, and every
+  /// gap is computed from those handles alone. A re-prime copies the gap
+  /// of every pair whose two distributions and threshold are unchanged
+  /// (see the file header). Each numeric gap is read from a transient Δθ
+  /// density, so priming leaves the density cache empty. The numeric
+  /// cells fan out: the calling thread and one helper per further CPU of
+  /// its affinity mask take them one at a time (no helper when the mask
+  /// holds one CPU or no cell is numeric). Every helper is joined before
+  /// prime() returns, on every path, so no thread outlives it; an
+  /// exception thrown on a helper is rethrown on the calling thread. The
+  /// tables are built aside and published only on success, so a prime
+  /// that throws leaves the previous tables in place. The fan-out needs
+  /// every Distribution's const members to be safe to call concurrently
+  /// (stats/distribution.hpp).
+  ///
+  /// Between primes the engine is immutable under the whole fast_*
+  /// surface, which is what lets shard threads and a reconfiguration
+  /// primer read one shared engine with no synchronization (see
+  /// docs/architecture.md, "Threading model").
+  ///
+  /// The third argument has no effect: every prime fills every gap. It
+  /// remains because the frozen livebench harness passes it.
   void prime(double threshold, double p_safe,
              bool prefill_pairs = false) const;
+
+  /// A new engine over the same registry and configuration whose tables
+  /// start as a copy of this one's (the Δθ cache starts empty), so its
+  /// first prime() derives instead of rebuilding. Safe to call from
+  /// another thread while this engine is not being primed.
+  [[nodiscard]] std::shared_ptr<PrecedingEngine> successor() const;
 
   /// True when the tables match (threshold, p_safe) and the registry has
   /// not announced since they were built.
   [[nodiscard]] bool fast_ready(double threshold, double p_safe) const;
 
-  /// True when the current tables were built with `prefill_pairs` (every
-  /// gap slot filled; fast_* queries mutate nothing).
-  [[nodiscard]] bool fast_prefilled() const {
-    return fast_.valid && fast_.prefilled;
-  }
-
-  /// True when prime() has run at all (any parameters). Lets sharing
-  /// callers detect a parameter mismatch before thrashing the tables.
-  [[nodiscard]] bool fast_primed() const { return fast_.valid; }
-
   /// Registry generation the current fast tables were built at (0 when
   /// never primed) — the epoch identity of a primed engine. Sessions
-  /// pinned to a shared prefilled engine revalidate against this instead
-  /// of the live registry generation, so a concurrent announce cannot
-  /// perturb them until an explicit rebind installs a fresher engine.
+  /// revalidate against this, so an announce reaches a sequencer only
+  /// once its engine has been re-primed or replaced.
   [[nodiscard]] std::uint64_t fast_generation() const {
     return fast_.generation;
   }
 
   /// True when prime() last ran with exactly these parameters (registry
-  /// generation aside — a stale generation just means one cheap
-  /// re-prime, not thrashing).
+  /// generation aside).
   [[nodiscard]] bool fast_params_match(double threshold,
                                        double p_safe) const {
     return fast_.valid && fast_.threshold == threshold &&
@@ -219,9 +214,11 @@ class PrecedingEngine {
     return high_water_stamp + Duration(fast_.frontier_offset[ci]);
   }
 
-  /// g*_{ij}; lazily fills numeric-path entries (one convolution once).
+  /// g*_{ij}.
   [[nodiscard]] double fast_critical_gap(std::uint32_t ci,
-                                         std::uint32_t cj) const;
+                                         std::uint32_t cj) const {
+    return fast_.critical_gap[ci * fast_.n + cj];
+  }
 
   /// `preceding_probability(a, b) > threshold` for corrected stamps
   /// (c_a from client index ci, c_b from client index cj).
@@ -232,7 +229,7 @@ class PrecedingEngine {
     return corrected_b - corrected_a > fast_critical_gap(ci, cj);
   }
 
-  /// Ḡ_i ≥ max_j g*_{ij}: if c_b − c_a > Ḡ_i then b is confidently after
+  /// Ḡ_i = max_j g*_{ij}: if c_b − c_a > Ḡ_i then b is confidently after
   /// a regardless of b's client. Drives the windowed closure scans.
   [[nodiscard]] double fast_max_gap_from(std::uint32_t ci) const {
     return fast_.max_gap_from[ci];
@@ -250,18 +247,17 @@ class PrecedingEngine {
   [[nodiscard]] const PrecedingConfig& config() const { return config_; }
 
  private:
+  struct FastTables;
+
   [[nodiscard]] const stats::GridDensity& difference_density_for(
       ClientId from, ClientId to) const;
-  /// g*_{ij} of a numeric pair; `cache_density` routes the Δθ density
-  /// through the cache, otherwise it is built and dropped.
-  [[nodiscard]] double numeric_critical_gap(std::uint32_t ci,
-                                            std::uint32_t cj,
-                                            bool cache_density) const;
-  /// The slot of g*_{ij}, filled by numeric_critical_gap when still lazy.
-  [[nodiscard]] double fill_critical_gap(std::uint32_t ci, std::uint32_t cj,
-                                         bool cache_density) const;
-  void build_fast_tables(double threshold, double p_safe) const;
-  void prefill_critical_gaps() const;
+  /// The tables prime() publishes; copies the gaps `fast_` already holds
+  /// for unchanged pairs.
+  [[nodiscard]] FastTables build_fast_tables(double threshold,
+                                             double p_safe) const;
+  /// Fills g*_{ij} of the numeric `cells` (i·n + j) of `t`, fanned out.
+  void fill_numeric_gaps(FastTables& t,
+                         const std::vector<std::size_t>& cells) const;
 
   const ClientRegistry& registry_;
   PrecedingConfig config_;
@@ -301,21 +297,19 @@ class PrecedingEngine {
   // queries.
   struct FastTables {
     bool valid{false};
-    bool prefilled{false};
     double threshold{0.0};
     double p_safe{0.0};
     std::uint64_t generation{0};  // registry generation at build time
     std::size_t n{0};
+    // [n] the distribution each client's row and column were built from
+    std::vector<ClientRegistry::SharedDistribution> distribution;
     std::vector<double> mean;             // [n]   E[θ_c]
     std::vector<double> safe_offset;      // [n]   Q_c(p_safe)
     std::vector<double> frontier_offset;  // [n]   Q_c(1 − p_safe)
     std::vector<std::uint8_t> gaussian;   // [n]   closed form eligible
     std::vector<double> variance;         // [n]   Var[θ_c]
-    std::vector<double> upper_width;      // [n]   eff-support hi − μ_c
-    std::vector<double> lower_width;      // [n]   μ_c − eff-support lo
-    std::vector<double> support_width;    // [n]   eff-support width
-    std::vector<double> critical_gap;     // [n·n] g*_{ij}; NaN = lazy
-    std::vector<double> max_gap_from;     // [n]   Ḡ_i ≥ max_j g*_{ij}
+    std::vector<double> critical_gap;     // [n·n] g*_{ij}
+    std::vector<double> max_gap_from;     // [n]   Ḡ_i = max_j g*_{ij}
     double global_max_gap{0.0};
   };
   mutable FastTables fast_;

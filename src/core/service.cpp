@@ -391,7 +391,6 @@ FairOrderingService::FairOrderingService(
     : registry_(registry),
       router_(std::move(config.router)),
       online_config_(config.online),
-      prefill_engines_(config.worker_threads),
       drain_policy_(config.drain_policy),
       ingest_ring_capacity_(config.ingest_ring_capacity) {
   TOMMY_EXPECTS(config.shard_count > 0);
@@ -413,17 +412,19 @@ FairOrderingService::FairOrderingService(
 
   // One engine for every shard, primed once; its derived tables are a
   // function of the registry alone, so every shard reads the same data.
-  // Worker threads additionally require the full critical-gap prefill:
-  // after it, no fast_* query writes anything, so N workers share the
-  // tables with no synchronization.
+  // No fast_* query writes anything, and no shard re-primes a shared
+  // engine, so N workers share the tables with no synchronization.
+  // Shards take up an announce only at an install, so the live epoch's
+  // generation is the one its tables were built at: an announce racing
+  // this prime stays pending.
   auto engine = std::make_shared<PrecedingEngine>(registry,
                                                   config.online.preceding);
+  primed_generation_ = registry.generation();
   if (!config.online.reference_mode) {
-    engine->prime(config.online.threshold, config.online.p_safe,
-                  /*prefill_pairs=*/config.worker_threads);
+    engine->prime(config.online.threshold, config.online.p_safe);
+    primed_generation_ = engine->fast_generation();
   }
   engine_ = engine;
-  primed_generation_ = registry.generation();
 
   // Static partition: route once per expected client, preserving the
   // caller's order within each shard (so a 1-shard service sees exactly
@@ -440,11 +441,10 @@ FairOrderingService::FairOrderingService(
   shards_.resize(config.shard_count);
   for (std::uint32_t s = 0; s < config.shard_count; ++s) {
     if (partition[s].empty()) continue;  // unpopulated shard
-    // Threaded shards are pinned: they never re-prime the shared engine
-    // (workers read it lock-free); epoch swaps go through rebind_engine.
+    // Shards never re-prime the shared engine; a registry change reaches
+    // them only through an install's rebind_engine, in either mode.
     shards_[s] = std::make_unique<OnlineSequencer>(
-        engine_, std::move(partition[s]), config.online,
-        /*pinned=*/config.worker_threads);
+        engine_, std::move(partition[s]), config.online);
   }
 
   if (config.worker_threads) {
@@ -844,14 +844,18 @@ void FairOrderingService::start_prime_locked() {
   reconfig_.ready.store(false, std::memory_order_release);
   reconfig_.staged.reset();
   reconfig_.primer = std::thread([this] {
-    // Prime against a moving registry: build_fast_tables records the
-    // generation at build START, so a prime torn by a concurrent
-    // announce reads as stale here and simply goes again.
-    auto engine = std::make_shared<PrecedingEngine>(
-        registry_, online_config_.preceding);
+    // Derive from the live epoch: the successor copies its tables and
+    // convolves only the pairs of joined or re-announced clients. No
+    // sequencer primes a shared engine, so reading it here races nothing.
+    // The prime records the generation at build START, so a prime torn
+    // by a concurrent announce reads as stale here and derives again.
+    std::shared_ptr<PrecedingEngine> engine;
+    {
+      std::shared_lock<std::shared_mutex> topo(topology_mutex_);
+      engine = engine_->successor();
+    }
     do {
-      engine->prime(online_config_.threshold, online_config_.p_safe,
-                    prefill_engines_);
+      engine->prime(online_config_.threshold, online_config_.p_safe);
     } while (engine->fast_generation() != registry_.generation());
     std::lock_guard<std::mutex> lock(reconfig_.mutex);
     reconfig_.staged = std::move(engine);
@@ -930,8 +934,8 @@ void FairOrderingService::install_staged(
     std::unique_lock<std::shared_mutex> topo(topology_mutex_);
     for (std::uint32_t s = 0; s < shard_total; ++s) {
       if (added[s].empty() || shards_[s]) continue;
-      shards_[s] = std::make_unique<OnlineSequencer>(
-          staged, added[s], online_config_, /*pinned=*/true);
+      shards_[s] = std::make_unique<OnlineSequencer>(staged, added[s],
+                                                     online_config_);
       auto worker = std::make_unique<ShardWorker>();
       worker->shard = shards_[s].get();
       worker->shard_index = s;
@@ -953,8 +957,8 @@ void FairOrderingService::install_staged(
     if (shards_[s]) {
       shards_[s]->rebind_engine(staged, added[s]);
     } else if (!added[s].empty()) {
-      shards_[s] = std::make_unique<OnlineSequencer>(
-          staged, added[s], online_config_, /*pinned=*/false);
+      shards_[s] = std::make_unique<OnlineSequencer>(staged, added[s],
+                                                     online_config_);
     }
   }
   engine_ = staged;

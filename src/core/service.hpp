@@ -23,9 +23,9 @@
 //    and released in MergeKey order (core/merge_holdback.hpp — the same
 //    order the dist tier's MergeNode releases in).
 //  * All shards share ONE PrecedingEngine, primed once: the flat
-//    critical-gap/offset tables and Δθ density cache are read-mostly
-//    derived state of the registry, identical for every shard, so
-//    sharing them makes shard count a memory no-op for the engine.
+//    critical-gap/offset tables are derived state of the registry,
+//    identical for every shard, so sharing them makes shard count a
+//    memory no-op for the engine.
 //  * Sessions are the only ingest surface: open_session(client) routes
 //    once, and every submit/heartbeat after that goes straight to the
 //    client's shard (or its ingest ring, in threaded mode).
@@ -55,19 +55,22 @@
 //    different threads freely (that is the point);
 //  * poll/flush/next_safe_time/pending_count/fairness_violations are
 //    serialized internally (any thread may call them);
-//  * engine immutability is epoch-scoped: within one epoch the shared
-//    engine is primed WITH full critical-gap prefill and never mutates
-//    (workers read it lock-free); a registry re-announce starts a NEW
-//    epoch — a fresh engine is primed off-thread (request_reconfig) and
-//    atomically installed at a per-shard quiesce point
-//    (try_install_reconfig), in-flight sessions revalidating by
-//    generation instead of erroring (see "Live reconfiguration" below);
+//  * engine immutability is epoch-scoped, in both modes: within one
+//    epoch the shared engine has every critical gap filled and never
+//    mutates (no shard re-primes it; workers read it lock-free); a
+//    registry re-announce starts a NEW epoch — a successor engine is
+//    derived off-thread (request_reconfig) and atomically installed at a
+//    per-shard quiesce point (try_install_reconfig), in-flight sessions
+//    revalidating by generation instead of erroring (see "Live
+//    reconfiguration" below);
 //  * reference_mode is incompatible with worker_threads (the naive path
 //    mutates engine caches per query).
 //
-// A 1-shard sequential service is bit-identical to a bare OnlineSequencer
-// (the randomized equivalence tests assert this), so the facade costs
-// nothing when sharding is not wanted.
+// Between installs, a 1-shard sequential service is bit-identical to a
+// bare OnlineSequencer (the randomized equivalence tests assert this), so
+// the facade costs nothing when sharding is not wanted. A bare sequencer
+// owns its engine and takes up a re-announce at its next call; a service
+// takes it up at the install.
 //
 // ── Live reconfiguration (RCU-style epoch swap) ─────────────────────────
 //
@@ -78,11 +81,13 @@
 //        ─► try_install_reconfig ─► quiesce + swap ─► resume
 //
 //  * request_reconfig starts (or notes, if one is running) a primer
-//    thread that builds a brand-new PrecedingEngine against the updated
-//    registry and primes its critical-gap tables — all off the ingest
+//    thread that derives a successor of the live engine against the
+//    updated registry: it copies the critical gap of every pair whose
+//    two distributions did not change and convolves only the rows and
+//    columns of joined or re-announced clients — all off the ingest
 //    path; the live epoch keeps serving from the old engine meanwhile.
 //    A torn prime (an announce landing mid-build) is detected via the
-//    generation recorded at build start and simply re-primed.
+//    generation recorded at build start and simply derived again.
 //  * try_install_reconfig is the quiesce point: under the control lock
 //    every worker applies every op enqueued before the install command
 //    (a bounded pass — sustained ingest cannot defer the swap) and
@@ -514,7 +519,6 @@ class FairOrderingService {
   const ClientRegistry& registry_;
   std::shared_ptr<const KeyRouter> router_;
   OnlineConfig online_config_{};
-  bool prefill_engines_{false};  // == threaded(); primers match it
   /// Guards the published topology: shard_by_client_, shards_ slot
   /// pointers, engine_. Readers (expects_client, shard_of, open paths)
   /// take it shared; only install_staged takes it unique.

@@ -9,8 +9,8 @@
 // below maps the wire records onto that key.
 //
 // Peers are dialed with connect(node, Endpoint) or handed over already
-// open with attach(); the downlink listens with listen_downlink_unix /
-// listen_downlink_tcp or through downlink().listen(Endpoint).
+// open with attach(); the downlink listens through
+// downlink().listen(Endpoint).
 //
 // Frontier rule (liveness under faults): every configured peer always
 // contributes to the gate. A peer contributes −infinity — blocking all
@@ -179,11 +179,9 @@ class MergeNode {
   /// released backlog replayed, then a fresh MergeWatermark, then live
   /// releases as they happen — the same late-subscriber contract the
   /// shard uplinks give this node.
+  /// downlink().listen on a Unix path; kept for the livebench harness.
   [[nodiscard]] bool listen_downlink_unix(const std::string& path) {
-    return downlink_.listen_unix(path);
-  }
-  [[nodiscard]] bool listen_downlink_tcp(std::uint16_t port) {
-    return downlink_.listen_tcp(port);
+    return downlink_.listen(net::Endpoint{.unix_path = path, .tcp_port = 0});
   }
   [[nodiscard]] net::StreamAcceptor& downlink() { return downlink_; }
   [[nodiscard]] std::size_t downlink_subscriber_count() const;

@@ -73,7 +73,7 @@ StreamAcceptor::StreamAcceptor(OnStream on_stream)
 StreamAcceptor::~StreamAcceptor() { stop(); }
 
 bool StreamAcceptor::listen_tcp(std::uint16_t port) {
-  TOMMY_EXPECTS(listen_fd_ < 0);  // one listen_* per acceptor, once
+  TOMMY_EXPECTS(listen_fd_ < 0);  // one listen per acceptor, once
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;
   int one = 1;
@@ -230,14 +230,6 @@ FrameServer::FrameServer(core::ClientRegistry& registry,
       }) {}
 
 FrameServer::~FrameServer() { stop(); }
-
-bool FrameServer::listen_tcp(std::uint16_t port) {
-  return acceptor_.listen_tcp(port);
-}
-
-bool FrameServer::listen_unix(const std::string& path) {
-  return acceptor_.listen_unix(path);
-}
 
 void FrameServer::stop() {
   acceptor_.stop();

@@ -49,8 +49,7 @@ namespace tommy::net {
 /// Transport-level acceptor: one listening socket, one accept thread,
 /// every accepted fd delivered to `on_stream` as a ByteStream (from the
 /// accept thread — the callback must not block indefinitely). One
-/// listening socket per instance: call exactly one of listen_tcp /
-/// listen_unix, once.
+/// listening socket per instance: call listen() once.
 class StreamAcceptor {
  public:
   using OnStream = std::function<void(std::shared_ptr<ByteStream>)>;
@@ -66,28 +65,22 @@ class StreamAcceptor {
   StreamAcceptor(const StreamAcceptor&) = delete;
   StreamAcceptor& operator=(const StreamAcceptor&) = delete;
 
-  /// Binds 127.0.0.1:`port` (0 = ephemeral; read the outcome from
-  /// port()), listens, and starts the accept thread. False on bind /
-  /// listen failure (errno preserved).
-  [[nodiscard]] bool listen_tcp(std::uint16_t port);
-
-  /// Binds a Unix-domain stream socket at `path` (unlinking a stale
-  /// socket file first), listens, and starts the accept thread.
-  [[nodiscard]] bool listen_unix(const std::string& path);
-
-  /// Unified entry point: listen_unix when the endpoint names a Unix
-  /// path, else listen_tcp. Same one-listen-per-acceptor rule.
+  /// Binds the endpoint, listens, and starts the accept thread. A Unix
+  /// path binds a Unix-domain stream socket there (unlinking a stale
+  /// socket file first); otherwise 127.0.0.1:tcp_port is bound (0 =
+  /// ephemeral; read the outcome from port()). False on bind / listen
+  /// failure (errno preserved).
   [[nodiscard]] bool listen(const Endpoint& endpoint) {
     return endpoint.is_unix() ? listen_unix(endpoint.unix_path)
                               : listen_tcp(endpoint.tcp_port);
   }
 
-  /// Bound TCP port (valid after a successful listen_tcp).
+  /// Bound TCP port (valid after a successful TCP listen).
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  /// Bound Unix socket path (valid after a successful listen_unix).
+  /// Bound Unix socket path (valid after a successful Unix listen).
   [[nodiscard]] const std::string& unix_path() const { return unix_path_; }
 
-  /// Accepting connections (between a successful listen_* and stop()).
+  /// Accepting connections (between a successful listen and stop()).
   [[nodiscard]] bool running() const {
     return running_.load(std::memory_order_acquire);
   }
@@ -107,6 +100,8 @@ class StreamAcceptor {
   }
 
  private:
+  [[nodiscard]] bool listen_tcp(std::uint16_t port);
+  [[nodiscard]] bool listen_unix(const std::string& path);
   [[nodiscard]] bool start(int listen_fd);
   void accept_loop();
 
@@ -133,8 +128,8 @@ struct ServerConfig {
 };
 
 /// A listening fair-ordering server over a FrameFrontend. One listening
-/// socket per instance — call exactly one of listen_tcp / listen_unix,
-/// once. The registry/service must outlive the server.
+/// socket per instance — call listen() once. The registry/service must
+/// outlive the server.
 class FrameServer {
  public:
   FrameServer(core::ClientRegistry& registry,
@@ -146,29 +141,19 @@ class FrameServer {
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  /// Binds 127.0.0.1:`port` (0 = ephemeral; read the outcome from
-  /// port()), listens, and starts the accept thread. False on bind /
-  /// listen failure (errno preserved).
-  [[nodiscard]] bool listen_tcp(std::uint16_t port);
-
-  /// Binds a Unix-domain stream socket at `path` (unlinking a stale
-  /// socket file first), listens, and starts the accept thread.
-  [[nodiscard]] bool listen_unix(const std::string& path);
-
-  /// Unified entry point: listen_unix when the endpoint names a Unix
-  /// path, else listen_tcp.
+  /// Binds the endpoint and starts accepting (see StreamAcceptor::listen).
   [[nodiscard]] bool listen(const Endpoint& endpoint) {
     return acceptor_.listen(endpoint);
   }
 
-  /// Bound TCP port (valid after a successful listen_tcp).
+  /// Bound TCP port (valid after a successful TCP listen).
   [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
-  /// Bound Unix socket path (valid after a successful listen_unix).
+  /// Bound Unix socket path (valid after a successful Unix listen).
   [[nodiscard]] const std::string& unix_path() const {
     return acceptor_.unix_path();
   }
 
-  /// Accepting connections (between a successful listen_* and stop()).
+  /// Accepting connections (between a successful listen and stop()).
   [[nodiscard]] bool running() const { return acceptor_.running(); }
 
   /// Stops accepting (joins the accept thread, closes the listening

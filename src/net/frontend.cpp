@@ -179,8 +179,6 @@ const char* to_string(WireError error) {
       return "client not in the expected set";
     case WireError::kClientMismatch:
       return "frame names a different client than the handshake";
-    case WireError::kRegistryFrozen:
-      return "announcement would change a frozen registry";
     case WireError::kBatchFromClient:
       return "client sent a batch-emission frame";
     case WireError::kStreamError:

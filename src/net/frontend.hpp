@@ -172,11 +172,6 @@ enum class WireError : std::uint8_t {
   kUnknownClient,
   /// A frame named a different client than the handshake bound.
   kClientMismatch,
-  /// Historical: an announcement that would change a threaded service's
-  /// primed registry used to poison the connection. Live reconfiguration
-  /// made that path an epoch swap instead, so this is no longer produced
-  /// by the handshake; it remains for callers that stored it.
-  kRegistryFrozen,
   /// Client sent a sequencer→client frame (BatchEmission, ReconfigPending
   /// or HandshakeAck).
   kBatchFromClient,

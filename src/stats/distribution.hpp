@@ -4,8 +4,8 @@
 // safe-emission quantiles, convolutions) goes through this interface.
 //
 // Thread safety: every const member must be safe to call from several
-// threads at once on one object. A prefilled PrecedingEngine prime reads
-// each client's distribution from several threads while it builds the
+// threads at once on one object. A PrecedingEngine prime reads each
+// client's distribution from several threads while it builds the
 // Δθ densities, and live engines share the registry's objects. Every
 // subclass in this library holds only values set at construction (no
 // mutable members, no memoized state); a subclass that caches must

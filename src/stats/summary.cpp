@@ -129,7 +129,9 @@ std::optional<DistributionSummary> DistributionSummary::deserialize(
       if (!get_f64(bytes, pos, g.sigma)) return std::nullopt;
       if (pos != bytes.size()) return std::nullopt;
       if (!(g.sigma > 0.0)) return std::nullopt;
-      return DistributionSummary(g);
+      // Built in place: no temporary summary (and no variant move) is
+      // moved into the optional.
+      return std::make_optional<DistributionSummary>(g);
     }
     case kTagHistogram: {
       HistogramParams h;
@@ -147,7 +149,7 @@ std::optional<DistributionSummary> DistributionSummary::deserialize(
       double total = 0.0;
       for (double m : h.bin_masses) total += m;
       if (!(total > 0.0)) return std::nullopt;
-      return DistributionSummary(std::move(h));
+      return std::make_optional<DistributionSummary>(std::move(h));
     }
     default:
       return std::nullopt;

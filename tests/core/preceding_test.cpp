@@ -1,6 +1,7 @@
 #include "core/preceding.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -210,37 +212,6 @@ TEST(PrecedingNumeric, BoundedCacheMatchesUnboundedEverywhere) {
   EXPECT_GT(unbounded.cached_pairs(), 3u);  // the bound was actually live
 }
 
-TEST(PrecedingNumeric, BoundedCacheSurvivesLazyCriticalGapFill) {
-  // fast_critical_gap memoizes scalars derived from densities the LRU may
-  // since have evicted; the scalars must stay valid and consistent.
-  ClientRegistry registry;
-  for (std::uint32_t c = 0; c < 4; ++c) {
-    registry.announce(ClientId(c),
-                      std::make_unique<stats::Uniform>(-1.0, 1.0 + 0.1 * c));
-  }
-  PrecedingConfig config;
-  config.grid_points = 128;
-  config.difference_cache_capacity = 1;  // maximally hostile
-  PrecedingEngine engine(registry, config);
-  engine.prime(0.75, 0.99);
-
-  std::vector<double> first_pass;
-  for (std::uint32_t a = 0; a < 4; ++a) {
-    for (std::uint32_t b = 0; b < 4; ++b) {
-      if (a != b) first_pass.push_back(engine.fast_critical_gap(a, b));
-    }
-  }
-  EXPECT_LE(engine.cached_pairs(), 1u);
-  std::size_t k = 0;
-  for (std::uint32_t a = 0; a < 4; ++a) {
-    for (std::uint32_t b = 0; b < 4; ++b) {
-      if (a != b) {
-        EXPECT_EQ(engine.fast_critical_gap(a, b), first_pass[k++]);
-      }
-    }
-  }
-}
-
 /// One registry holding every client of `populations`, numbered densely
 /// in order.
 ClientRegistry registry_of(
@@ -259,15 +230,63 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/// Every table a fast_* query reads for the first `n` clients, bitwise
+/// equal between two engines primed over the same registry.
+void expect_same_tables(const PrecedingEngine& a, const PrecedingEngine& b,
+                        std::size_t n) {
+  ASSERT_EQ(&a.registry(), &b.registry());
+  EXPECT_EQ(a.fast_generation(), b.fast_generation());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(same_bits(a.fast_mean(i), b.fast_mean(i))) << "client " << i;
+    EXPECT_TRUE(same_bits(a.fast_safe_offset(i), b.fast_safe_offset(i)))
+        << "client " << i;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      EXPECT_TRUE(same_bits(a.fast_critical_gap(i, j),
+                            b.fast_critical_gap(i, j)))
+          << "pair (" << i << "," << j << "): " << a.fast_critical_gap(i, j)
+          << " vs " << b.fast_critical_gap(i, j);
+    }
+    EXPECT_TRUE(same_bits(a.fast_max_gap_from(i), b.fast_max_gap_from(i)))
+        << "row " << i << ": " << a.fast_max_gap_from(i) << " vs "
+        << b.fast_max_gap_from(i);
+  }
+  EXPECT_TRUE(same_bits(a.fast_global_max_gap(), b.fast_global_max_gap()))
+      << a.fast_global_max_gap() << " vs " << b.fast_global_max_gap();
+}
+
+/// Primes `engine` on a new thread whose affinity mask holds one CPU, so
+/// the prime starts no helper. Returns whether the mask was narrowed.
+bool prime_on_one_cpu(const PrecedingEngine& engine) {
+  bool narrowed = false;
+  std::thread([&engine, &narrowed] {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (!CPU_ISSET(cpu, &mask)) continue;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        narrowed = sched_setaffinity(0, sizeof one, &one) == 0;
+        break;
+      }
+    }
+    engine.prime(0.75, 0.999);
+  }).join();
+  return narrowed;
+}
+
 TEST(PrecedingNumeric, PrefilledPrimeCachesNoDensities) {
-  // The eager prefill shares its cells among the calling thread and one
+  // The prime shares its numeric cells among the calling thread and one
   // helper per further CPU. Whatever the split, it must leave the Δθ
   // cache empty (no fast_* query reads a density) and store exactly the
-  // gaps, row maxima and global maximum of the lazy first-query fill.
-  // The registries cover the fan-out's edges: one numeric client (one
-  // cell, no helper), 13 mixed clients (169 cells, not a multiple of any
-  // thread count), an all-Gaussian registry (no lazy slot, no fan-out),
-  // and half Gumbel, half bimodal clocks (every pair numeric).
+  // gaps, row maxima and global maximum of a serial fill: a prime on a
+  // thread confined to one CPU. (On a one-CPU host both sides run
+  // serially.) The registries cover the fan-out's edges: one numeric
+  // client (one cell, no helper), 13 mixed clients (144 numeric cells
+  // beside 25 closed-form ones), an all-Gaussian registry (no numeric
+  // cell, no fan-out), and half Gumbel, half bimodal clocks (every pair
+  // numeric).
   Rng rng(20251);
   const sim::Population gumbel = sim::gumbel_population(3, 4e-6, rng);
   const sim::Population bimodal = sim::bimodal_population(3, 4e-6, rng);
@@ -282,46 +301,82 @@ TEST(PrecedingNumeric, PrefilledPrimeCachesNoDensities) {
   struct Case {
     const char* label;
     ClientRegistry registry;
-    std::size_t gaussian_clients;
   };
   Case cases[] = {
-      {"3 Gumbel + 3 bimodal", registry_of({&gumbel, &bimodal}), 0},
-      {"1 numeric client", registry_of({&one}), 0},
+      {"3 Gumbel + 3 bimodal", registry_of({&gumbel, &bimodal})},
+      {"1 numeric client", registry_of({&one})},
       {"5 Gaussian + 4 Gumbel + 4 bimodal",
-       registry_of({&mixed_gaussian, &mixed_gumbel, &mixed_bimodal}), 5},
-      {"6 Gaussian", registry_of({&gaussian}), 6},
+       registry_of({&mixed_gaussian, &mixed_gumbel, &mixed_bimodal})},
+      {"6 Gaussian", registry_of({&gaussian})},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
-    PrecedingEngine prefilled(c.registry);
-    prefilled.prime(0.75, 0.999, /*prefill_pairs=*/true);
-    EXPECT_TRUE(prefilled.fast_prefilled());
-    EXPECT_EQ(prefilled.cached_pairs(), 0u);
+    PrecedingEngine fanned(c.registry);
+    fanned.prime(0.75, 0.999);
+    PrecedingEngine serial(c.registry);
+    EXPECT_TRUE(prime_on_one_cpu(serial));
+    expect_same_tables(fanned, serial, c.registry.size());
 
-    PrecedingEngine lazy(c.registry);
-    lazy.prime(0.75, 0.999);
+    // The row maxima are exact, not bounds.
     const auto n = static_cast<std::uint32_t>(c.registry.size());
-    double twin_global = 0.0;
+    double global = 0.0;
     for (std::uint32_t i = 0; i < n; ++i) {
-      double twin_row = -std::numeric_limits<double>::infinity();
+      double row = -std::numeric_limits<double>::infinity();
       for (std::uint32_t j = 0; j < n; ++j) {
-        const double gap = prefilled.fast_critical_gap(i, j);
-        const double twin = lazy.fast_critical_gap(i, j);
-        EXPECT_TRUE(same_bits(gap, twin))
-            << "pair (" << i << "," << j << "): " << gap << " vs " << twin;
-        twin_row = std::max(twin_row, twin);
+        row = std::max(row, serial.fast_critical_gap(i, j));
       }
-      EXPECT_TRUE(same_bits(prefilled.fast_max_gap_from(i), twin_row))
-          << "row " << i << ": " << prefilled.fast_max_gap_from(i) << " vs "
-          << twin_row;
-      twin_global = std::max(twin_global, twin_row);
+      EXPECT_TRUE(same_bits(fanned.fast_max_gap_from(i), row)) << "row " << i;
+      global = std::max(global, row);
     }
-    EXPECT_TRUE(same_bits(prefilled.fast_global_max_gap(), twin_global))
-        << prefilled.fast_global_max_gap() << " vs " << twin_global;
-    const std::size_t numeric_pairs =
-        std::size_t{n} * n - c.gaussian_clients * c.gaussian_clients;
-    EXPECT_EQ(lazy.cached_pairs(), numeric_pairs);
-    EXPECT_EQ(prefilled.cached_pairs(), 0u);  // queries stay read-only
+    EXPECT_TRUE(same_bits(fanned.fast_global_max_gap(), global));
+    EXPECT_EQ(fanned.cached_pairs(), 0u);  // priming caches no density
+    EXPECT_EQ(serial.cached_pairs(), 0u);
+  }
+}
+
+TEST(PrecedingNumeric, DerivedPrimeMatchesAFreshPrime) {
+  // A re-prime copies the gap of every pair whose two distributions did
+  // not change and convolves only the rows and columns of joined or
+  // re-announced clients. The copy must be bitwise what a fresh prime
+  // computes, after a join and after a re-announce — both through a
+  // successor (the reconfiguration primer's path) and in place (a
+  // sequencer that owns its engine).
+  Rng rng(20252);
+  const sim::Population gaussian = sim::gaussian_population(5, 4e-6, rng);
+  const sim::Population gumbel = sim::gumbel_population(4, 4e-6, rng);
+  const sim::Population bimodal = sim::bimodal_population(4, 4e-6, rng);
+  const sim::Population joiner = sim::gumbel_population(1, 4e-6, rng);
+  const sim::Population relearned = sim::bimodal_population(1, 4e-6, rng);
+  ClientRegistry registry = registry_of({&gaussian, &gumbel, &bimodal});
+  PrecedingEngine live(registry);
+  live.prime(0.75, 0.999);
+
+  // An up-to-date successor starts ready: nothing to derive.
+  EXPECT_TRUE(live.successor()->fast_ready(0.75, 0.999));
+
+  // Join: a 14th client, numeric against every other.
+  registry.announce(ClientId(13), joiner.clients()[0].offset->clone());
+  const auto joined = live.successor();
+  joined->prime(0.75, 0.999);
+  {
+    SCOPED_TRACE("after a join");
+    PrecedingEngine fresh(registry);
+    fresh.prime(0.75, 0.999);
+    expect_same_tables(*joined, fresh, registry.size());
+  }
+
+  // Re-announce: a Gaussian client's clock is re-learned as bimodal, so
+  // its row and column leave the closed form.
+  registry.announce(ClientId(2), relearned.clients()[0].offset->clone());
+  const auto reannounced = joined->successor();
+  reannounced->prime(0.75, 0.999);
+  live.prime(0.75, 0.999);  // in place, from the pre-join tables
+  {
+    SCOPED_TRACE("after a re-announce");
+    PrecedingEngine fresh(registry);
+    fresh.prime(0.75, 0.999);
+    expect_same_tables(*reannounced, fresh, registry.size());
+    expect_same_tables(live, fresh, registry.size());
   }
 }
 
@@ -356,19 +411,33 @@ class DensityThrows final : public stats::Distribution {
 };
 
 TEST(PrecedingNumeric, PrefilledPrimeRethrowsAFillersException) {
-  // Every cell is numeric and throws, so the calling thread and each
-  // helper catch one. The prime must join them all and rethrow on the
-  // calling thread, as a serial fill would have thrown there: an
-  // exception escaping a helper thread would terminate the process.
-  ClientRegistry registry;
-  for (std::uint32_t c = 0; c < 8; ++c) {
+  // Eight clients join a primed engine with clocks whose densities throw,
+  // so every cell to fill throws and the calling thread and each helper
+  // catch one. The prime must join them all and rethrow on the calling
+  // thread, as a serial fill would have thrown there (an exception
+  // escaping a helper thread would terminate the process), and leave the
+  // previous tables in place: they were built aside and never published.
+  Rng rng(20253);
+  const sim::Population gumbel = sim::gumbel_population(8, 4e-6, rng);
+  ClientRegistry registry = registry_of({&gumbel});
+  PrecedingEngine engine(registry);
+  engine.prime(0.75, 0.999);
+  PrecedingEngine before(registry);
+  before.prime(0.75, 0.999);
+
+  for (std::uint32_t c = 8; c < 16; ++c) {
     registry.announce(ClientId(c),
                       std::make_unique<DensityThrows>(0.0, 1e-6 * (c + 1)));
   }
-  PrecedingEngine engine(registry);
-  EXPECT_THROW(engine.prime(0.75, 0.999, /*prefill_pairs=*/true),
-               std::runtime_error);
-  EXPECT_FALSE(engine.fast_prefilled());
+  EXPECT_THROW(engine.prime(0.75, 0.999), std::runtime_error);
+  EXPECT_FALSE(engine.fast_ready(0.75, 0.999));
+  EXPECT_TRUE(engine.fast_params_match(0.75, 0.999));
+  expect_same_tables(engine, before, 8);
+
+  // A first prime that throws leaves the engine unprimed.
+  PrecedingEngine unprimed(registry);
+  EXPECT_THROW(unprimed.prime(0.75, 0.999), std::runtime_error);
+  EXPECT_FALSE(unprimed.fast_params_match(0.75, 0.999));
 }
 
 TEST(PrecedingNumeric, UniformPairHasClosedFormCheck) {

@@ -459,16 +459,18 @@ TEST(FairOrderingServiceTest, CustomSinkClassTakesTheSinkOverload) {
 }
 
 TEST(FairOrderingServiceTest, MismatchedSharedEngineConfigDies) {
-  // Two sequencers sharing one engine with different (threshold, p_safe)
-  // would re-prime the whole engine on every call; that misuse is a
-  // checked precondition at construction.
+  // A sequencer never primes a shared engine, so it must agree with the
+  // (threshold, p_safe) the engine's owner primed it for; a mismatch is a
+  // checked precondition at construction, as is an unprimed engine.
   const ClientRegistry registry = make_registry(2);
   auto engine = std::make_shared<const PrecedingEngine>(registry);
   OnlineConfig first;
   first.p_safe = 0.99;
+  EXPECT_DEATH(OnlineSequencer(engine, ids(2), first), "precondition");
+  engine->prime(first.threshold, first.p_safe);
   OnlineSequencer a(engine, ids(2), first);
   OnlineConfig second;
-  second.p_safe = 0.999;  // disagrees with what `a` primed
+  second.p_safe = 0.999;  // disagrees with what the engine was primed for
   EXPECT_DEATH(OnlineSequencer(engine, ids(2), second), "precondition");
 }
 

@@ -174,9 +174,8 @@ void expect_identical_per_shard(const std::vector<Tagged>& actual,
 }
 
 TEST(ServiceThreadedTest, FourShardThreadedMatchesSequentialBitForBit) {
-  // On the Gumbel/bimodal stream the threaded constructor prefills every
-  // numeric gap, sharing the cells among several threads, while the
-  // sequential service fills each gap lazily on first query.
+  // On the Gumbel/bimodal stream every prime convolves every numeric gap,
+  // sharing the cells among several threads.
   struct Input {
     std::uint64_t seed;
     Clocks clocks;
@@ -205,6 +204,103 @@ TEST(ServiceThreadedTest, FourShardThreadedMatchesSequentialBitForBit) {
     EXPECT_EQ(thr_service.fairness_violations(),
               seq_service.fairness_violations());
   }
+}
+
+TEST(ServiceThreadedTest, ReannounceWaitsForTheInstallInBothModes) {
+  // A registry re-announce reaches no shard before an install, in either
+  // mode: every shard keeps its epoch's engine, buffered keys, safe times
+  // and gate frontiers until an install rebinds it. A sequential service
+  // used to re-prime its shared engine in place at the first shard call
+  // after the announce; every later shard then found the engine ready and
+  // kept its stale buffer and frontiers while its sessions already read
+  // the new offsets. The set-up is service_test's
+  // MultiShardMatchesIndependentBareSequencers; at the midpoint a client
+  // of shard 2 is re-learned and no install follows.
+  Rng rng(123);
+  const sim::Population pop = sim::gaussian_population(12, 60e-6, rng);
+  const auto events = sim::poisson_workload(pop.ids(), 600, 15_us, rng);
+  auto observed = sim::materialize_messages(pop, events,
+                                            sim::MaterializeConfig{}, rng);
+  std::stable_sort(observed.begin(), observed.end(),
+                   [](const sim::ObservedMessage& a,
+                      const sim::ObservedMessage& b) {
+                     return a.message.arrival < b.message.arrival;
+                   });
+  ClientRegistry registry;
+  pop.seed_registry(registry);
+  ServiceConfig config;
+  config.with_shards(3).with_p_safe(0.995);
+  FairOrderingService sequential(registry, pop.ids(), config);
+  FairOrderingService threaded(registry, pop.ids(),
+                               ServiceConfig(config).with_worker_threads());
+
+  const std::vector<ClientId> ids = pop.ids();
+  const auto in_shard_2 = std::find_if(ids.begin(), ids.end(), [&](ClientId c) {
+    return sequential.shard_of(c) == 2;
+  });
+  ASSERT_NE(in_shard_2, ids.end());
+  const ClientId relearned = *in_shard_2;
+
+  struct Side {
+    FairOrderingService& service;
+    std::unordered_map<ClientId, FairOrderingService::Session> sessions;
+    std::vector<Tagged> out;
+    void poll(TimePoint now) {
+      service.poll(now, [this](EmissionRecord&& record, std::uint32_t shard) {
+        out.push_back(Tagged{std::move(record), shard});
+      });
+    }
+  };
+  Side sides[] = {{sequential, {}, {}}, {threaded, {}, {}}};
+  for (Side& side : sides) {
+    for (ClientId c : pop.ids()) {
+      side.sessions.emplace(c, side.service.open_session(c));
+    }
+  }
+
+  TimePoint now(0.0);
+  std::size_t k = 0;
+  for (const auto& om : observed) {
+    now = std::max(now, om.message.arrival);
+    for (Side& side : sides) {
+      side.sessions.at(om.message.client)
+          .submit(om.message.stamp, om.message.id, now);
+    }
+    ++k;
+    if (k == observed.size() / 2) {
+      registry.announce(relearned,
+                        std::make_unique<stats::Gaussian>(-400e-6, 60e-6));
+      for (Side& side : sides) side.poll(now);
+    }
+    if (k % 11 == 0) {
+      for (Side& side : sides) {
+        for (ClientId c : pop.ids()) side.sessions.at(c).heartbeat(now, now);
+      }
+    }
+    if (k % 5 == 0) {
+      for (Side& side : sides) side.poll(now);
+    }
+  }
+  for (Side& side : sides) {
+    for (ClientId c : pop.ids()) {
+      side.sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
+    }
+    side.poll(now + 1_s);
+    side.service.flush(now + 2_s, [&side](EmissionRecord&& record,
+                                          std::uint32_t shard) {
+      side.out.push_back(Tagged{std::move(record), shard});
+    });
+    EXPECT_EQ(side.service.epoch(), 0u);  // nothing was installed
+    EXPECT_TRUE(side.service.reconfig_pending());
+  }
+
+  expect_identical_per_shard(sides[0].out, sides[1].out, 3,
+                             "sequential vs threaded");
+  std::size_t messages = 0;
+  for (const Tagged& t : sides[0].out) {
+    messages += t.record.batch.messages.size();
+  }
+  EXPECT_EQ(messages, observed.size());
 }
 
 TEST(ServiceThreadedTest, SubmitBatchMatchesPerMessageSubmit) {

@@ -455,7 +455,8 @@ struct DownlinkStub {
           server = std::move(stream);
           cv.notify_all();
         }) {
-    EXPECT_TRUE(acceptor.listen_unix(path));
+    EXPECT_TRUE(
+        acceptor.listen(net::Endpoint{.unix_path = path, .tcp_port = 0}));
   }
 
   [[nodiscard]] std::shared_ptr<ByteStream> accept() {

@@ -45,7 +45,8 @@ TEST(FrameServer, TcpAcceptsAndOrdersASingleClient) {
   config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(2), config);
   FrameServer server(registry, service, test_server_config());
-  ASSERT_TRUE(server.listen_tcp(0));  // ephemeral
+  // Port 0: ephemeral.
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
   ASSERT_NE(server.port(), 0);
   ASSERT_TRUE(server.running());
 
@@ -82,7 +83,7 @@ TEST(FrameServer, UnixSocketEmissionsMatchDirectDriveWithConcurrentClients) {
   FairOrderingService service(registry, ids(4), config);
   FrameServer server(registry, service, test_server_config());
   const std::string path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(path));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
   EXPECT_EQ(server.unix_path(), path);
 
   // >= 3 concurrent clients (the acceptance bar), each its own thread —
@@ -110,7 +111,7 @@ TEST(FrameServer, HandshakeRacesResolveToOneTypedOutcomePerConnection) {
   config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(4), config);
   FrameServer server(registry, service, test_server_config());
-  ASSERT_TRUE(server.listen_tcp(0));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
 
   // 8 simultaneous connects racing the accept loop: 4 valid handshakes
   // (one per known client), 2 unknown clients, 2 that send a data frame
@@ -168,7 +169,7 @@ TEST(FrameServer, TornHandshakeThenDropIsContainedAndReaped) {
   config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(2), config);
   FrameServer server(registry, service, test_server_config());
-  ASSERT_TRUE(server.listen_tcp(0));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
 
   // A client that sends half its announcement frame, then vanishes.
   {
@@ -207,7 +208,7 @@ TEST(FrameServer, StopDuringActiveTrafficJoinsEverythingCleanly) {
   FairOrderingService service(registry, ids(4), config);
   auto server = std::make_unique<FrameServer>(registry, service,
                                               test_server_config());
-  ASSERT_TRUE(server->listen_tcp(0));
+  ASSERT_TRUE(server->listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
   const std::uint16_t port = server->port();
 
   // Clients that write frames until their stream dies under them.
@@ -253,14 +254,16 @@ TEST(FrameServer, ListenFailuresAreReported) {
   FairOrderingService service(registry, ids(1), {});
   {
     FrameServer a(registry, service, test_server_config());
-    ASSERT_TRUE(a.listen_tcp(0));
+    ASSERT_TRUE(a.listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
     FrameServer b(registry, service, test_server_config());
-    EXPECT_FALSE(b.listen_tcp(a.port()));  // port taken
+    EXPECT_FALSE(  // port taken
+        b.listen(Endpoint{.unix_path = {}, .tcp_port = a.port()}));
     EXPECT_FALSE(b.running());
   }
   {
     FrameServer c(registry, service, test_server_config());
-    EXPECT_FALSE(c.listen_unix(std::string(200, 'x')));  // ENAMETOOLONG
+    EXPECT_FALSE(c.listen(  // ENAMETOOLONG
+        Endpoint{.unix_path = std::string(200, 'x'), .tcp_port = 0}));
     EXPECT_FALSE(c.running());
   }
 }
@@ -475,7 +478,7 @@ TEST(ConnectRetry, UnixConnectSurvivesTheServerStartupRace) {
   auto base_sleep = retry.policy.sleep;
   retry.policy.sleep = [&](std::chrono::microseconds d) {
     if (retry.slept.empty()) {
-      ASSERT_TRUE(server.listen_unix(path));
+      ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
     }
     base_sleep(d);
   };
@@ -509,7 +512,7 @@ TEST(ConnectRetry, RefusedTcpConnectExhaustsExactlyTheBudget) {
     ClientRegistry registry = make_registry(1);
     FairOrderingService service(registry, ids(1), ServiceConfig{});
     FrameServer server(registry, service, test_server_config());
-    ASSERT_TRUE(server.listen_tcp(0));
+    ASSERT_TRUE(server.listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
     dead_port = server.port();
     server.stop();
   }

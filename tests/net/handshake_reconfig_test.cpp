@@ -143,7 +143,7 @@ void expect_byte_identical_reannounce_is_idempotent(ServiceConfig config) {
   server_config.frontend = test_frontend_config();
   FrameServer server(registry, service, server_config);
   const std::string path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(path));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
   const std::uint64_t g0 = registry.generation();
 
   auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
@@ -184,7 +184,7 @@ void expect_mutated_reannounce_reconfigures(ServiceConfig config) {
   server_config.frontend = test_frontend_config();
   FrameServer server(registry, service, server_config);
   const std::string path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(path));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
   const std::uint64_t g0 = registry.generation();
 
   auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
@@ -238,7 +238,7 @@ TEST(WireReconfig, JoinHandshakeRidesReconfigPendingToAnAck) {
   server_config.frontend.accept_new_clients = true;
   FrameServer server(registry, service, server_config);
   const std::string path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(path));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
 
   // Unknown client: the first announce is necessarily ReconfigPending
   // (expect_client + prime start); retries ride the install to an ack.
@@ -271,7 +271,7 @@ TEST(WireReconfig, KnownClientHandshakeAcksWithoutAReconfigRound) {
   server_config.frontend.accept_new_clients = true;
   FrameServer server(registry, service, server_config);
   const std::string path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(path));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
 
   auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0}, RetryPolicy{});
   ASSERT_NE(wire, nullptr);
@@ -296,7 +296,7 @@ TEST(WireReconfig, TornJoinAnnounceLeavesTheServiceUntouched) {
   server_config.frontend.retire_on_eof = true;
   FrameServer server(registry, service, server_config);
   const std::string path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(path));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
   const std::uint64_t g0 = registry.generation();
 
   {

@@ -178,10 +178,10 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
 
   std::string path;
   if (use_tcp) {
-    EXPECT_TRUE(server.listen_tcp(0));
+    EXPECT_TRUE(server.listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
   } else {
     path = fresh_unix_path();
-    EXPECT_TRUE(server.listen_unix(path));
+    EXPECT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
   }
   auto connect = [&server, &path] {
     return dial(Endpoint{.unix_path = path, .tcp_port = server.port()},

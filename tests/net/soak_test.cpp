@@ -141,10 +141,10 @@ SoakOutcome run_soaked(const std::vector<std::vector<Event>>& workload,
 
   std::string path;
   if (options.use_tcp) {
-    EXPECT_TRUE(server.listen_tcp(0));
+    EXPECT_TRUE(server.listen(Endpoint{.unix_path = {}, .tcp_port = 0}));
   } else {
     path = fresh_unix_path();
-    EXPECT_TRUE(server.listen_unix(path));
+    EXPECT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
   }
   auto connect = [&server, &path]() -> std::shared_ptr<ByteStream> {
     return dial(Endpoint{.unix_path = path, .tcp_port = server.port()},
@@ -286,7 +286,7 @@ TEST(SoakOverUnixSockets, AcceptorChurnKeepsTheTableBounded) {
   server_config.frontend = test_frontend_config();
   FrameServer server(registry, service, server_config);
   const std::string path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(path));
+  ASSERT_TRUE(server.listen(Endpoint{.unix_path = path, .tcp_port = 0}));
 
   for (int cycle = 0; cycle < 60; ++cycle) {
     auto wire = dial(Endpoint{.unix_path = path, .tcp_port = 0});

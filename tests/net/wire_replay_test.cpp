@@ -114,7 +114,8 @@ TEST(WireReplay, SparseConnectionIndexesSpawnNoIdleThreads) {
   FrameServer server(registry, service,
                      ServerConfig{test_frontend_config()});
   const std::string socket_path = fresh_unix_path();
-  ASSERT_TRUE(server.listen_unix(socket_path));
+  ASSERT_TRUE(
+      server.listen(net::Endpoint{.unix_path = socket_path, .tcp_port = 0}));
 
   WireTrace trace;
   const std::uint32_t sparse = kMaxTraceConnections - 1;
@@ -188,7 +189,8 @@ TEST(WireReplay, ReplayedEmissionsAreBitIdenticalToTheRecordedRun) {
     FrameServer server(registry, service,
                        ServerConfig{test_frontend_config()});
     const std::string socket_path = fresh_unix_path();
-    ASSERT_TRUE(server.listen_unix(socket_path));
+    ASSERT_TRUE(
+      server.listen(net::Endpoint{.unix_path = socket_path, .tcp_port = 0}));
 
     ReplayOptions options;
     options.speed = speed;
