@@ -37,13 +37,13 @@
 //
 // ── Hot-path design (critical gaps + incremental closure) ───────────────
 //
-// The default (fast) implementation never evaluates a probability on the
-// hot path. Every buffered entry caches its corrected stamp, safe-emission
-// time and dense client index once at ingest; every "confidently after"
-// question is then a subtraction and a comparison against the engine's
-// precomputed per-client-pair critical gap (see preceding.hpp for the
-// derivation). The closure computation for the head batch maintains this
-// invariant between polls:
+// The sequencer never evaluates a probability on the hot path. Every
+// buffered entry caches its corrected stamp, safe-emission time and dense
+// client index once at ingest; every "confidently after" question is then
+// a subtraction and a comparison against the engine's precomputed
+// per-client-pair critical gap (see preceding.hpp for the derivation).
+// The closure computation for the head batch maintains this invariant
+// between polls:
 //
 //   head_valid_ ⟹ head_size_ = |head batch under BatchRule::kClosure| and
 //   head_safe_  = max safe-emission time over that batch, for the buffer
@@ -79,14 +79,13 @@
 // earlier than the latest one falls back to an exact scan over the
 // cached frontiers (see completeness_satisfied).
 //
-// `OnlineConfig::reference_mode` retains the naive implementation —
-// from-scratch O(n²) closure per poll, per-query probability evaluation —
-// as the semantic reference; the randomized equivalence tests assert the
-// two modes emit bit-identical batch sequences.
+// The naive algorithm this re-derives — per-query probabilities, the
+// closure recomputed from scratch at every emission attempt — lives on as
+// the test oracle (tests/core/reference_sequencer.hpp); the randomized
+// equivalence suites assert both emit bit-identical batch sequences.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -112,10 +111,6 @@ struct OnlineConfig {
   /// not block on clients that may not exist; it re-enters the gate with
   /// its first message/heartbeat.
   Duration client_silence_timeout{Duration::infinity()};
-  /// Use the retained naive implementation (per-query probabilities,
-  /// from-scratch closure each poll). Slow; exists as the semantic
-  /// reference the equivalence tests compare the fast path against.
-  bool reference_mode{false};
   /// Engine configuration — only consulted when the sequencer builds its
   /// own engine (the registry constructor). The shared-engine constructor
   /// uses the engine's existing configuration instead.
@@ -221,8 +216,6 @@ class OnlineSequencer {
   /// the sequencer never re-primes it, and sessions revalidate against the
   /// engine's fast_generation(). A registry announce therefore reaches the
   /// sequencer only when rebind_engine() installs a fresher engine.
-  /// Reference mode reads the registry on every query instead and needs no
-  /// primed engine.
   OnlineSequencer(std::shared_ptr<const PrecedingEngine> engine,
                   std::vector<ClientId> expected_clients,
                   OnlineConfig config = {});
@@ -263,9 +256,7 @@ class OnlineSequencer {
   /// callers can schedule the next poll at this instant.
   [[nodiscard]] TimePoint next_safe_time() const;
 
-  [[nodiscard]] std::size_t pending_count() const {
-    return config_.reference_mode ? buffer_.size() : fast_buffer_.size();
-  }
+  [[nodiscard]] std::size_t pending_count() const { return buffer_.size(); }
   [[nodiscard]] Rank next_rank() const { return next_rank_; }
 
   /// Messages that arrived after a batch they confidently belonged in (or
@@ -333,8 +324,8 @@ class OnlineSequencer {
     std::uint32_t cindex{0};
     TimePoint high_water{TimePoint(-std::numeric_limits<double>::infinity())};
     TimePoint last_heard{TimePoint(-std::numeric_limits<double>::infinity())};
-    /// Cached completeness frontier hw + Q(1 − p_safe) (fast mode only;
-    /// refreshed on every high-water advance and on re-prime).
+    /// Cached completeness frontier hw + Q(1 − p_safe) (refreshed on
+    /// every high-water advance and on re-prime).
     TimePoint frontier{TimePoint(-std::numeric_limits<double>::infinity())};
     bool heard{false};
     /// Departed clients (retire_client) are excluded from the
@@ -352,7 +343,7 @@ class OnlineSequencer {
   /// Precondition: `client` is an expected client.
   [[nodiscard]] std::uint32_t slot_of(ClientId client) const;
   /// Re-reads a session's cached per-client offsets from the engine's
-  /// flat tables (fast mode) and stamps it with the engine's generation.
+  /// flat tables and stamps it with the engine's generation.
   void refresh_session(Session& session) const;
   /// The session-table ingest core every entry surface shares. `relaxed`
   /// skips the cross-session FIFO arrival assertion (see
@@ -364,42 +355,34 @@ class OnlineSequencer {
   void session_heartbeat(Session& session, TimePoint local_stamp,
                          TimePoint now);
   /// Completeness-state maintenance after a client advanced its
-  /// high-water/last-heard (fast mode: refreshes the cached frontier and
-  /// fixes up the min-frontier heap).
+  /// high-water/last-heard: refreshes the cached frontier and fixes up the
+  /// min-frontier heap.
   void touch_client(ClientState& state);
-  /// Violation accounting + ordered buffer insert (both modes).
+  /// Violation accounting + ordered buffer insert (keeping the cached
+  /// head batch when the insert provably leaves it intact).
   void ingest(Buffered entry);
   void refresh_entry(Buffered& entry) const;
-  /// Fast mode, own engine only: re-primes the engine and refreshes cached
-  /// entry constants after a registry re-announce (takes effect at the
-  /// next ingest or poll); a shared engine is never re-primed here. A
+  /// Own engine only: re-primes the engine and refreshes cached entry
+  /// constants after a registry re-announce (takes effect at the next
+  /// entry-point call); a shared engine is never re-primed here. A
   /// re-announce can reorder corrected stamps relative to the stored
   /// buffer order, so the refresh re-sorts the buffer under the fresh
   /// keys — the sorted invariant (and with it every windowed early
-  /// exit) holds unconditionally. Reference mode mirrors the same
-  /// boundary: a registry generation change triggers
-  /// resort_reference_buffer(), so both modes re-key and re-order at the
-  /// first entry-point call after an announce and stay bit-identical.
+  /// exit) holds unconditionally.
   void maybe_reprime();
   /// The shared tail of maybe_reprime() and rebind_engine(): refreshes
   /// every cached constant derived from the engine tables (buffer —
   /// re-keyed, re-sorted and rebuilt — emitted set, client frontiers,
   /// gate heap, head cache).
   void refresh_epoch_state();
-  /// Reference-mode analogue of refresh_epoch_state's buffer rebuild:
-  /// re-sorts the deque under freshly evaluated corrected stamps and
-  /// records the registry generation it is sorted for.
-  void resort_reference_buffer();
 
-  // Fast path.
-  void insert_fast(Buffered entry);
   void recompute_head() const;
   [[nodiscard]] bool completeness_satisfied(TimePoint t_b, TimePoint now) const;
-  /// Exact O(n) gate scan over the cached fast-mode frontiers; the
-  /// fallback for out-of-order gate queries (see completeness_satisfied).
+  /// Exact O(n) gate scan over the cached frontiers; the fallback for
+  /// out-of-order gate queries (see completeness_satisfied).
   [[nodiscard]] bool completeness_scan(TimePoint t_b, TimePoint now) const;
 
-  // Min-frontier heap (fast mode; see completeness_satisfied). An indexed
+  // Min-frontier heap (see completeness_satisfied). An indexed
   // binary min-heap over completeness-gate slots keyed by
   // clients_[slot].frontier: every heard, not-timed-out client has
   // exactly one node, so the gate is a peek at the root instead of a
@@ -412,15 +395,6 @@ class OnlineSequencer {
   /// is not the root).
   void heap_remove_at(std::size_t pos) const;
   void heap_rebuild() const;
-
-  // Retained naive reference path.
-  [[nodiscard]] bool confidently_after(const Message& later,
-                                       const Message& earlier) const;
-  /// Size of the head batch under the closure rule (BatchRule::kClosure).
-  [[nodiscard]] std::size_t head_batch_size_naive() const;
-  [[nodiscard]] TimePoint safe_time_for_naive(std::size_t batch_size) const;
-  [[nodiscard]] bool completeness_satisfied_naive(TimePoint t_b,
-                                                  TimePoint now) const;
 
   std::size_t drain(TimePoint now, bool ignore_gates, EmissionSink& sink,
                     std::uint32_t shard_tag);
@@ -444,15 +418,9 @@ class OnlineSequencer {
   /// dense indices, so membership is one bounds check + one load.
   std::vector<std::uint32_t> slot_by_cindex_;
 
-  /// Reference-mode pending buffer: the retained naive sorted sequence
-  /// (per-comparison corrected-stamp inserts). Unused in fast mode.
-  std::deque<Buffered> buffer_;  // sorted by (corrected stamp, id)
-  /// Fast-mode pending buffer: chunked ordered structure, O(log n)
-  /// comparisons + bounded moves per insert. Unused in reference mode.
-  HoldbackBuffer<Buffered, BufferedLess> fast_buffer_;
-  /// Registry generation buffer_ is currently sorted for (reference
-  /// mode): maybe_reprime re-sorts when it trails the live generation.
-  std::uint64_t ref_generation_{0};
+  /// Pending buffer: chunked ordered structure, O(log n) comparisons +
+  /// bounded moves per insert.
+  HoldbackBuffer<Buffered, BufferedLess> buffer_;
   Rank next_rank_{0};
   std::vector<Buffered> last_emitted_;  // for violation detection
   std::size_t fairness_violations_{0};
@@ -460,7 +428,7 @@ class OnlineSequencer {
   /// (`arrival`/`now` non-decreasing across message ingests).
   TimePoint last_arrival_{TimePoint(-std::numeric_limits<double>::infinity())};
 
-  // Completeness min-frontier heap (fast path). heap_ holds gate slots
+  // Completeness min-frontier heap. heap_ holds gate slots
   // (indices into clients_) as a binary min-heap on the cached frontier;
   // heap_pos_[slot] is the slot's position in heap_ (kNotInHeap when the
   // client is unheard or currently dropped from the gate by the silence
@@ -475,7 +443,7 @@ class OnlineSequencer {
   mutable TimePoint last_gate_now_{
       TimePoint(-std::numeric_limits<double>::infinity())};
 
-  // Cached head-batch closure state (fast path); see file header.
+  // Cached head-batch closure state; see file header.
   // head_last_corrected_/head_last_id_ cache the (corrected, id) key of
   // the LAST head row, so the insert-time "did it land inside the head?"
   // test is one key compare instead of a positional rank computation.

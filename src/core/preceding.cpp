@@ -70,38 +70,18 @@ const stats::GridDensity& PrecedingEngine::difference_density_for(
   // keeps the slow path consistent with the current distributions.
   if (cache_generation_ != registry_.generation()) {
     cache_.clear();
-    lru_.clear();
     cache_generation_ = registry_.generation();
   }
-  const std::size_t capacity = config_.difference_cache_capacity;
   const auto key = std::make_pair(from, to);
   const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    if (capacity > 0) {  // refresh recency; unbounded caches skip the list
-      lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-    }
-    return *it->second.density;
-  }
+  if (it != cache_.end()) return it->second;
 
   const auto di = registry_.offset_distribution_ptr(from);
   const auto dj = registry_.offset_distribution_ptr(to);
-  auto density = std::make_unique<stats::GridDensity>(stats::difference_density(
-      *dj, *di, config_.grid_points, config_.method));
-  CachedDensity entry;
-  entry.density = std::move(density);
-  if (capacity > 0) {
-    // Evict before inserting so the entry returned below can never be the
-    // one trimmed away (callers hold the reference across one query).
-    while (cache_.size() >= capacity && !lru_.empty()) {
-      cache_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    lru_.push_front(key);
-    entry.lru_position = lru_.begin();
-  }
-  const auto [inserted, ok] = cache_.emplace(key, std::move(entry));
-  TOMMY_ASSERT(ok);
-  return *inserted->second.density;
+  return cache_
+      .emplace(key, stats::difference_density(*dj, *di, config_.grid_points,
+                                              config_.method))
+      .first->second;
 }
 
 TimePoint PrecedingEngine::safe_emission_time(const Message& m,

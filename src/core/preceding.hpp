@@ -56,15 +56,15 @@
 //
 // After priming, `confidently_preceding` is a subtraction and a compare;
 // the sequencer's corrected stamps, safe-emission times and completeness
-// frontiers are one addition each. The slow per-query API below remains
-// the semantic reference (the online sequencer's reference mode uses it
-// verbatim) and is what the equivalence property tests compare against;
-// it alone uses the Δθ density cache.
+// frontiers are one addition each. The slow per-query API below states
+// the rule in probabilities: the tournament path weighs its edges with
+// it, and the test oracle (tests/core/reference_sequencer.hpp) that the
+// equivalence suites compare the fast path against uses it verbatim. It
+// alone uses the Δθ density cache.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -85,15 +85,10 @@ struct PrecedingConfig {
   stats::ConvolutionMethod method{stats::ConvolutionMethod::kFft};
   /// Force the numeric path even for Gaussian pairs (testing/ablation).
   bool force_numeric{false};
-  /// Cache Δθ densities per ordered client pair.
+  /// Cache Δθ densities per ordered client pair. Only the slow per-query
+  /// path (preceding_probability) inserts; prime() reads each gap from a
+  /// transient density and caches none.
   bool cache_difference_densities{true};
-  /// Maximum number of cached Δθ densities (ordered pairs) kept at once;
-  /// least-recently-used entries are evicted beyond it. 0 = unbounded
-  /// (the seed behaviour). The worst case is n² densities of grid_points
-  /// samples each, the unbounded-memory risk for large non-Gaussian client
-  /// sets. Only the slow per-query path (preceding_probability) inserts;
-  /// prime() reads each gap from a transient density and caches none.
-  std::size_t difference_cache_capacity{0};
 };
 
 class PrecedingEngine {
@@ -278,18 +273,11 @@ class PrecedingEngine {
     }
   };
   using PairKey = std::pair<ClientId, ClientId>;
-  struct CachedDensity {
-    std::unique_ptr<stats::GridDensity> density;
-    // Position in lru_; only maintained when the cache is bounded.
-    std::list<PairKey>::iterator lru_position;
-  };
   // Keyed (i, j) -> density of θ_j − θ_i. Mutable: a logically-const query
   // memoizes the expensive convolution. Cleared when the registry
-  // generation moves on (a re-announce makes every cached density stale).
-  // When config_.difference_cache_capacity > 0, lru_ orders the keys most-
-  // recently-used first and the map is trimmed from the back on insert.
-  mutable std::unordered_map<PairKey, CachedDensity, PairHash> cache_;
-  mutable std::list<PairKey> lru_;
+  // generation moves on (a re-announce makes every cached density stale);
+  // until then the map's nodes keep every returned reference valid.
+  mutable std::unordered_map<PairKey, stats::GridDensity, PairHash> cache_;
   mutable std::uint64_t cache_generation_{0};
 
   // Flat constant tables for the fast path (see file header). Mutable for

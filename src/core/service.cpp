@@ -395,10 +395,6 @@ FairOrderingService::FairOrderingService(
       ingest_ring_capacity_(config.ingest_ring_capacity) {
   TOMMY_EXPECTS(config.shard_count > 0);
   TOMMY_EXPECTS(!expected_clients.empty());
-  // The naive reference path mutates engine caches per query; it has no
-  // thread-safe variant (and needs none — it exists for the equivalence
-  // suite).
-  TOMMY_EXPECTS(!(config.worker_threads && config.online.reference_mode));
 
   if (!router_) {
     ClientId lo = expected_clients.front();
@@ -419,11 +415,8 @@ FairOrderingService::FairOrderingService(
   // this prime stays pending.
   auto engine = std::make_shared<PrecedingEngine>(registry,
                                                   config.online.preceding);
-  primed_generation_ = registry.generation();
-  if (!config.online.reference_mode) {
-    engine->prime(config.online.threshold, config.online.p_safe);
-    primed_generation_ = engine->fast_generation();
-  }
+  engine->prime(config.online.threshold, config.online.p_safe);
+  primed_generation_ = engine->fast_generation();
   engine_ = engine;
 
   // Static partition: route once per expected client, preserving the
@@ -442,7 +435,7 @@ FairOrderingService::FairOrderingService(
   for (std::uint32_t s = 0; s < config.shard_count; ++s) {
     if (partition[s].empty()) continue;  // unpopulated shard
     // Shards never re-prime the shared engine; a registry change reaches
-    // them only through an install's rebind_engine, in either mode.
+    // them only through an install's rebind_engine.
     shards_[s] = std::make_unique<OnlineSequencer>(
         engine_, std::move(partition[s]), config.online);
   }

@@ -62,9 +62,7 @@
 //    derived off-thread (request_reconfig) and atomically installed at a
 //    per-shard quiesce point (try_install_reconfig), in-flight sessions
 //    revalidating by generation instead of erroring (see "Live
-//    reconfiguration" below);
-//  * reference_mode is incompatible with worker_threads (the naive path
-//    mutates engine caches per query).
+//    reconfiguration" below).
 //
 // Between installs, a 1-shard sequential service is bit-identical to a
 // bare OnlineSequencer (the randomized equivalence tests assert this), so
@@ -200,7 +198,6 @@ struct ServiceConfig {
   /// nullptr → RangeRouter over the expected clients' id span.
   std::shared_ptr<const KeyRouter> router{};
   /// One worker thread per populated shard; see the file header.
-  /// Incompatible with `online.reference_mode`.
   bool worker_threads{false};
   DrainPolicy drain_policy{DrainPolicy::kShardLocal};
   /// Per-session SPSC ingest ring capacity (threaded mode; rounded up to

@@ -46,16 +46,6 @@ struct TommyConfig {
   /// Fill TommyDiagnostics::transitivity on the tournament path. O(n³) —
   /// diagnostics only, off by default.
   bool analyze_transitivity{false};
-  /// Decide batch boundaries from raw pairwise probabilities instead of
-  /// the engine's primed critical-gap tables. The default (false) answers
-  /// every "p(a, b) > threshold" with one subtraction against the primed
-  /// per-pair gap — no Φ/convolution evaluation per message pair; raw
-  /// probabilities are only materialized where a probability is actually
-  /// consumed (tournament edge weights, RAS diagnostics,
-  /// min_cross_batch_probability). True retains the original per-pair
-  /// evaluation as the semantic reference; the equivalence test pins the
-  /// two bit-identical.
-  bool reference_thresholds{false};
   PrecedingConfig preceding{};
 };
 
@@ -92,8 +82,8 @@ class TommySequencer final : public Sequencer {
       std::vector<Message> messages);
   [[nodiscard]] SequencerResult sequence_tournament(
       std::vector<Message> messages);
-  /// The batch-boundary predicate `p(a, b) > threshold` — critical-gap
-  /// compare by default, raw probability under reference_thresholds.
+  /// The batch-boundary predicate `p(a, b) > threshold`: one subtraction
+  /// against the primed per-pair critical gap, no probability evaluated.
   [[nodiscard]] PairConfidenceFn boundary_predicate() const;
 
   ClientRegistry const& registry_;

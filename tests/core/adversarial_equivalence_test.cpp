@@ -1,8 +1,8 @@
 // Adversarial arrival-order equivalence: the O(log n) HoldbackBuffer fast
-// path must stay bit-identical to reference_mode (the retained naive
-// sorted-deque path) under exactly the arrival patterns that made the old
-// flat buffer quadratic — and that a rank-stealing adversary would
-// engineer. Three stream shapes:
+// path must stay bit-identical to the naive oracle
+// (reference_sequencer.hpp, a per-comparison sorted vector) under exactly
+// the arrival patterns that made the old flat buffer quadratic — and that
+// a rank-stealing adversary would engineer. Three stream shapes:
 //
 //   * reverse-corrected: corrected stamps strictly DECREASING in arrival
 //     order, so every insert lands at the buffer front while a closed
@@ -11,18 +11,20 @@
 //     inserts ping-pong between the buffer's ends and repeatedly split
 //     chunks on both flanks;
 //   * mid-stream reprime: a drastic re-announce landing on a deep
-//     backlog, forcing both modes through their re-key + re-sort refresh
+//     backlog, forcing both sides through their re-key + re-sort refresh
 //     boundary mid-stream.
 //
-// Each shape is proven on the bare sequencer (fast vs reference) and then
-// across the service engine configs: sequential multi-shard fast vs
-// reference, threaded workers vs sequential (fast), and kGlobalMerge
-// sequential vs threaded — covering sequential / sharded / threaded /
-// global-merge with the new structure everywhere.
+// Each shape is proven on the bare sequencer (fast vs oracle) and then
+// across the service engine configs: the sequential multi-shard service
+// vs one oracle per shard of its partition, threaded workers vs
+// sequential, and kGlobalMerge sequential vs threaded — covering
+// sequential / sharded / threaded / global-merge with the new structure
+// everywhere.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +32,8 @@
 #include "core/service.hpp"
 #include "sim/population.hpp"
 #include "stats/gaussian.hpp"
+
+#include "reference_sequencer.hpp"
 
 namespace tommy::core {
 namespace {
@@ -111,7 +115,7 @@ Scenario make_scenario(Pattern pattern, std::uint64_t seed,
     }
     case Pattern::kMidStreamReprime: {
       // Reverse-corrected backlog, then a drastic mean shift halfway:
-      // the refresh re-keys a deep buffer in both modes.
+      // the refresh re-keys a deep buffer on both sides.
       const double base = 1.0;
       for (std::size_t i = 0; i < count; ++i) {
         push(i, base - static_cast<double>(i) * step,
@@ -131,15 +135,24 @@ struct DriveResult {
   std::size_t pending_after_flush{0};
 };
 
-/// Drives a bare sequencer: sparse polls while the gate starves (no
-/// heartbeats — the backlog must go deep), the optional drastic reprime,
-/// then heartbeats + poll + flush to land every record.
-DriveResult drive(OnlineSequencer& seq, Scenario& s) {
+/// Re-learns client 0 with a drastically shifted clock model.
+void reprime(Scenario& s) {
+  s.registry.announce(s.population.ids().front(),
+                      std::make_unique<stats::Gaussian>(0.4, 150e-6));
+}
+
+/// Drives a bare sequencer or the oracle: sparse polls while the gate
+/// starves (no heartbeats — the backlog must go deep), the optional
+/// drastic reprime, then heartbeats + poll + flush to land every record.
+/// A bare sequencer takes up the reprime at its next call; the oracle is
+/// rebound right after the announce.
+template <typename Seq>
+DriveResult drive(Seq& seq, Scenario& s) {
   DriveResult out;
   auto append = [&](std::vector<EmissionRecord>&& recs) {
     for (auto& r : recs) out.records.push_back(std::move(r));
   };
-  std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
+  std::unordered_map<ClientId, typename Seq::Session> sessions;
   for (ClientId c : s.population.ids()) {
     sessions.emplace(c, seq.open_session(c));
   }
@@ -149,9 +162,8 @@ DriveResult drive(OnlineSequencer& seq, Scenario& s) {
     now = std::max(now, m.arrival);
     sessions.at(m.client).submit(m.stamp, m.id, now);
     if (++k == s.reprime_at && s.reprime_at != 0) {
-      s.registry.announce(
-          s.population.ids().front(),
-          std::make_unique<stats::Gaussian>(0.4, 150e-6));
+      reprime(s);
+      if constexpr (std::is_same_v<Seq, ReferenceSequencer>) seq.rebind({});
     }
     if (k % 37 == 0) append(seq.poll(now));
   }
@@ -192,8 +204,8 @@ TEST(AdversarialEquivalence, BareSequencerAllPatterns) {
        {Pattern::kReverseCorrected, Pattern::kInterleavedBursts,
         Pattern::kMidStreamReprime}) {
     for (const std::uint64_t seed : {5u, 17u}) {
-      // Scenarios are rebuilt per mode: drive() mutates the registry on
-      // the reprime pattern and both modes must see the same sequence.
+      // Scenarios are rebuilt per side: drive() mutates the registry on
+      // the reprime pattern and both sides must see the same sequence.
       Scenario fast_s = make_scenario(pattern, seed, 6, 1200);
       OnlineConfig config;
       config.threshold = 0.75;
@@ -201,12 +213,12 @@ TEST(AdversarialEquivalence, BareSequencerAllPatterns) {
       OnlineSequencer fast(fast_s.registry, fast_s.population.ids(), config);
       const DriveResult fast_result = drive(fast, fast_s);
 
-      Scenario ref_s = make_scenario(pattern, seed, 6, 1200);
-      config.reference_mode = true;
-      OnlineSequencer ref(ref_s.registry, ref_s.population.ids(), config);
-      const DriveResult ref_result = drive(ref, ref_s);
+      Scenario oracle_s = make_scenario(pattern, seed, 6, 1200);
+      ReferenceSequencer oracle(oracle_s.registry, oracle_s.population.ids(),
+                                config);
+      const DriveResult oracle_result = drive(oracle, oracle_s);
 
-      expect_identical(fast_result, ref_result, to_string(pattern));
+      expect_identical(fast_result, oracle_result, to_string(pattern));
       // The adversarial gate starvation must actually build a deep
       // buffer: the flush at the end should still be emitting records.
       EXPECT_FALSE(fast_result.records.empty());
@@ -221,8 +233,11 @@ struct Tagged {
   std::uint32_t shard;
 };
 
-std::vector<Tagged> drive_service(FairOrderingService& service, Scenario& s) {
-  std::unordered_map<ClientId, FairOrderingService::Session> sessions;
+/// Drives a FairOrderingService, or the ShardedReference of one, on
+/// drive()'s schedule; the reprime installs through reconfigure().
+template <typename Service>
+std::vector<Tagged> drive_service(Service& service, Scenario& s) {
+  std::unordered_map<ClientId, typename Service::Session> sessions;
   for (ClientId c : s.population.ids()) {
     sessions.emplace(c, service.open_session(c));
   }
@@ -238,9 +253,7 @@ std::vector<Tagged> drive_service(FairOrderingService& service, Scenario& s) {
     if (++k == s.reprime_at && s.reprime_at != 0) {
       // The service's live-reconfig path: re-announce, then block until
       // the new epoch is installed before the stream continues.
-      s.registry.announce(
-          s.population.ids().front(),
-          std::make_unique<stats::Gaussian>(0.4, 150e-6));
+      reprime(s);
       service.reconfigure();
     }
     if (k % 37 == 0) service.poll(now, sink);
@@ -289,33 +302,42 @@ TEST(AdversarialEquivalence, ServiceConfigsAllPatterns) {
        {Pattern::kReverseCorrected, Pattern::kInterleavedBursts,
         Pattern::kMidStreamReprime}) {
     SCOPED_TRACE(to_string(pattern));
-    auto run = [&](bool reference, bool threaded, DrainPolicy policy) {
-      Scenario s = make_scenario(pattern, 29u, 6, 1200);
+    auto config_for = [](bool threaded, DrainPolicy policy) {
       ServiceConfig config;
       config.with_p_safe(0.99).with_shards(kShards);
-      config.online.reference_mode = reference;
       config.with_worker_threads(threaded).with_drain_policy(policy);
-      FairOrderingService service(s.registry, s.population.ids(), config);
+      return config;
+    };
+    auto run = [&](bool threaded, DrainPolicy policy) {
+      Scenario s = make_scenario(pattern, 29u, 6, 1200);
+      FairOrderingService service(s.registry, s.population.ids(),
+                                  config_for(threaded, policy));
       return drive_service(service, s);
     };
 
-    // Sequential sharded: fast vs reference, bit-identical per shard.
-    const auto seq_fast = run(false, false, DrainPolicy::kShardLocal);
-    const auto seq_ref = run(true, false, DrainPolicy::kShardLocal);
+    // Sequential sharded vs one oracle per shard, bit-identical per shard.
+    const ServiceConfig sequential =
+        config_for(false, DrainPolicy::kShardLocal);
+    Scenario seq_s = make_scenario(pattern, 29u, 6, 1200);
+    FairOrderingService seq_service(seq_s.registry, seq_s.population.ids(),
+                                    sequential);
+    const auto seq_fast = drive_service(seq_service, seq_s);
+    Scenario oracle_s = make_scenario(pattern, 29u, 6, 1200);
+    ShardedReference oracles(seq_service, oracle_s.registry,
+                             oracle_s.population.ids(), sequential.online);
     EXPECT_FALSE(seq_fast.empty());
-    expect_identical_per_shard(seq_fast, seq_ref, kShards,
-                               "sequential fast-vs-reference");
+    expect_identical_per_shard(seq_fast, drive_service(oracles, oracle_s),
+                               kShards, "sequential-vs-oracles");
 
-    // Threaded workers (fast only — reference refuses threads): must
-    // match the sequential fast run per shard.
-    const auto thr_fast = run(false, true, DrainPolicy::kShardLocal);
+    // Threaded workers: must match the sequential run per shard.
+    const auto thr_fast = run(true, DrainPolicy::kShardLocal);
     expect_identical_per_shard(thr_fast, seq_fast, kShards,
                                "threaded-vs-sequential");
 
     // Global merge: sequential and threaded must produce the identical
     // total stream (delivery order included).
-    const auto merge_seq = run(false, false, DrainPolicy::kGlobalMerge);
-    const auto merge_thr = run(false, true, DrainPolicy::kGlobalMerge);
+    const auto merge_seq = run(false, DrainPolicy::kGlobalMerge);
+    const auto merge_thr = run(true, DrainPolicy::kGlobalMerge);
     ASSERT_EQ(merge_seq.size(), merge_thr.size());
     EXPECT_FALSE(merge_seq.empty());
     for (std::size_t r = 0; r < merge_seq.size(); ++r) {

@@ -1,21 +1,22 @@
 // Equivalence of the online sequencer's constant-time fast path with the
-// retained naive reference implementation (reference_mode): over
-// randomized scenarios — Gaussian and non-Gaussian populations, forced
-// numeric evaluation, heartbeats, silence timeouts, violation-inducing
-// low p_safe — both modes must emit the exact same EmissionRecord
-// sequence (ranks, members, order, emission and safe times) and count the
-// same fairness violations. This is the contract that lets the critical-
-// gap reduction and the incremental closure replace the O(n²)
-// probability sweeps on the hot path.
+// naive oracle (reference_sequencer.hpp): over randomized scenarios —
+// Gaussian and non-Gaussian populations, forced numeric evaluation,
+// heartbeats, silence timeouts, client retirement, violation-inducing low
+// p_safe, mid-run re-announces — both must emit the exact same
+// EmissionRecord sequence (ranks, members, order, emission and safe
+// times) and count the same fairness violations. This is the contract
+// that lets the critical-gap reduction and the incremental closure
+// replace the O(n²) probability sweeps on the hot path.
 //
 // Every leg ingests through per-connection Session handles, the one
 // ingest surface. The same harness also proves the service surface is a
 // pure re-skin of that contract: a 1-shard FairOrderingService (sessions
-// + emission sink) must be bit-identical to a bare OnlineSequencer — in
-// fast AND reference mode.
+// + emission sink) must be bit-identical to a bare OnlineSequencer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -25,6 +26,8 @@
 #include "stats/gaussian.hpp"
 #include "sim/population.hpp"
 #include "sim/workload.hpp"
+
+#include "reference_sequencer.hpp"
 
 namespace tommy::core {
 namespace {
@@ -59,7 +62,7 @@ Scenario make_scenario(std::uint64_t seed, Shape shape, std::size_t clients,
   s.expected = s.population.ids();
 
   // Optionally keep the last client silent (never generates) to exercise
-  // the silence-timeout path identically in both modes.
+  // the silence-timeout path.
   std::vector<ClientId> speakers = s.expected;
   if (silent_last_client) speakers.pop_back();
 
@@ -116,13 +119,17 @@ void expect_identical(const DriveResult& fast, const DriveResult& ref,
   }
 }
 
-/// Feeds the scenario through `seq` on a deterministic schedule derived
-/// only from the input (so both modes see byte-identical calls):
-/// interleaved polls, periodic all-client heartbeats, a settling
-/// heartbeat+poll, then a flush of any remainder. Sessions are opened
-/// once up front and every submit/heartbeat goes through them.
-DriveResult drive(OnlineSequencer& seq, const Scenario& s) {
-  std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
+/// Feeds the scenario through `seq` (an OnlineSequencer or the oracle) on
+/// a deterministic schedule derived only from the input (so both see
+/// byte-identical calls): interleaved polls, periodic heartbeats, a
+/// settling heartbeat+poll, then a flush of any remainder. Sessions are
+/// opened once up front and every submit/heartbeat goes through them.
+/// With `retire_every` set, every that many messages the next expected
+/// client in rotation is retired, and the periodic heartbeats skip it
+/// (its own next message revives it).
+template <typename Seq>
+DriveResult drive(Seq& seq, const Scenario& s, std::size_t retire_every = 0) {
+  std::unordered_map<ClientId, typename Seq::Session> sessions;
   for (ClientId c : s.expected) sessions.emplace(c, seq.open_session(c));
   DriveResult out;
   auto append = [&](std::vector<EmissionRecord>&& recs) {
@@ -130,12 +137,19 @@ DriveResult drive(OnlineSequencer& seq, const Scenario& s) {
   };
   TimePoint now(0.0);
   std::size_t k = 0;
+  std::optional<ClientId> retired;
   for (const Message& m : s.messages) {
     now = std::max(now, m.arrival);
     sessions.at(m.client).submit(m.stamp, m.id, now);
     ++k;
+    if (retire_every != 0 && k % retire_every == 0) {
+      retired = s.expected[(k / retire_every) % s.expected.size()];
+      seq.retire_client(*retired);
+    }
     if (k % 13 == 0) {
-      for (ClientId c : s.expected) sessions.at(c).heartbeat(now, now);
+      for (ClientId c : s.expected) {
+        if (c != retired) sessions.at(c).heartbeat(now, now);
+      }
     }
     if (k % 7 == 0) append(seq.poll(now));
     if (k % 29 == 0) {
@@ -209,44 +223,34 @@ void run_equivalence(std::uint64_t seed, Shape shape, std::size_t clients,
   const Scenario s =
       make_scenario(seed, shape, clients, count, silent_last_client);
 
-  OnlineConfig fast_config = config;
-  fast_config.reference_mode = false;
-  OnlineSequencer fast(s.registry, s.expected, fast_config);
+  OnlineSequencer fast(s.registry, s.expected, config);
   const DriveResult fast_result = drive(fast, s);
 
-  OnlineConfig ref_config = config;
-  ref_config.reference_mode = true;
-  OnlineSequencer ref(s.registry, s.expected, ref_config);
-  const DriveResult ref_result = drive(ref, s);
+  ReferenceSequencer oracle(s.registry, s.expected, config);
+  const DriveResult oracle_result = drive(oracle, s);
 
   // Sanity: the drive actually exercised emission, not just buffering.
-  EXPECT_FALSE(ref_result.records.empty());
-  expect_identical(fast_result, ref_result, label);
+  EXPECT_FALSE(oracle_result.records.empty());
+  expect_identical(fast_result, oracle_result, label);
 }
 
-/// Asserts three legs agree bit-for-bit: a bare sequencer in `mode`, a
-/// bare sequencer in the other mode (the oracle pair), and a 1-shard
-/// service in `mode`.
+/// Asserts three legs agree bit-for-bit: a bare sequencer, the oracle,
+/// and a 1-shard service.
 void run_surface_equivalence(std::uint64_t seed, Shape shape,
                              std::size_t clients, std::size_t count,
-                             OnlineConfig config, bool reference_mode,
-                             const char* label) {
+                             OnlineConfig config, const char* label) {
   const Scenario s = make_scenario(seed, shape, clients, count, false);
-  OnlineConfig mode_config = config;
-  mode_config.reference_mode = reference_mode;
 
-  OnlineSequencer sessioned(s.registry, s.expected, mode_config);
+  OnlineSequencer sessioned(s.registry, s.expected, config);
   const DriveResult session_result = drive(sessioned, s);
   EXPECT_FALSE(session_result.records.empty());
 
-  OnlineConfig other_config = mode_config;
-  other_config.reference_mode = !reference_mode;
-  OnlineSequencer other(s.registry, s.expected, other_config);
-  const DriveResult other_result = drive(other, s);
-  expect_identical(session_result, other_result, label);
+  ReferenceSequencer oracle(s.registry, s.expected, config);
+  const DriveResult oracle_result = drive(oracle, s);
+  expect_identical(session_result, oracle_result, label);
 
   ServiceConfig service_config;
-  service_config.with_online(mode_config).with_shards(1);
+  service_config.with_online(config).with_shards(1);
   FairOrderingService service(s.registry, s.expected, service_config);
   const DriveResult service_result = drive_service(service, s);
   expect_identical(service_result, session_result, label);
@@ -314,170 +318,157 @@ TEST(OnlineEquivalence, ViolationInducingLowPSafe) {
   std::size_t total_violations = 0;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const Scenario s = make_scenario(seed, Shape::kGaussian, 8, 400, false);
-    OnlineConfig fast_config = config;
-    OnlineSequencer fast(s.registry, s.expected, fast_config);
+    OnlineSequencer fast(s.registry, s.expected, config);
     const DriveResult fast_result = drive(fast, s);
-    OnlineConfig ref_config = config;
-    ref_config.reference_mode = true;
-    OnlineSequencer ref(s.registry, s.expected, ref_config);
-    const DriveResult ref_result = drive(ref, s);
-    expect_identical(fast_result, ref_result, "low-p-safe");
+    ReferenceSequencer oracle(s.registry, s.expected, config);
+    expect_identical(fast_result, drive(oracle, s), "low-p-safe");
     total_violations += fast_result.violations;
   }
   EXPECT_GT(total_violations, 0u);
 }
 
-TEST(OnlineEquivalence, MidRunReannounceRefreshesConstants) {
-  // Re-announcing a distribution mid-run must take effect in the fast
-  // path exactly as it does in the reference path: both modes re-key and
-  // re-sort their buffer at the first entry-point call after the
-  // announce, so the sorted invariant (and the windowed scans it
-  // licenses) holds across the boundary. Two regimes: a mild re-learn
-  // whose re-sort is a no-op, and a drastic mean shift (≫ every critical
-  // gap) landing on a deep backlog, where the re-sort genuinely reorders
-  // the pending buffer.
-  struct Variant {
-    double new_mean;
-    double new_sigma;
-    std::size_t poll_every;
-    const char* label;
-  };
-  for (const Variant& v :
-       {Variant{20e-6, 120e-6, 7, "mild-shift"},
-        Variant{0.5, 120e-6, 61, "drastic-shift-deep-buffer"}}) {
-    Rng rng(99);
-    sim::Population population = sim::gaussian_population(6, 50e-6, rng);
-    const auto events =
-        sim::poisson_workload(population.ids(), 300, 10_us, rng);
-    const auto observed = sim::materialize_messages(
-        population, events, sim::MaterializeConfig{}, rng);
-
-    auto run = [&](bool reference_mode) {
-      ClientRegistry registry;
-      population.seed_registry(registry);
-      OnlineConfig config;
-      config.threshold = 0.75;
-      config.p_safe = 0.99;
-      config.reference_mode = reference_mode;
-      OnlineSequencer seq(registry, population.ids(), config);
-      std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
-      for (ClientId c : population.ids()) {
-        sessions.emplace(c, seq.open_session(c));
-      }
-      DriveResult out;
-      TimePoint now(0.0);
-      std::size_t k = 0;
-      for (const auto& om : observed) {
-        now = std::max(now, om.message.arrival);
-        sessions.at(om.message.client)
-            .submit(om.message.stamp, om.message.id, now);
-        if (++k == observed.size() / 2) {
-          // Halfway through, client 0's clock gets re-learned.
-          registry.announce(
-              population.ids().front(),
-              std::make_unique<stats::Gaussian>(v.new_mean, v.new_sigma));
-        }
-        if (k % v.poll_every == 0) {
-          for (ClientId c : population.ids()) {
-            sessions.at(c).heartbeat(now, now);
-          }
-          for (auto& r : seq.poll(now)) out.records.push_back(std::move(r));
-        }
-      }
-      for (ClientId c : population.ids()) {
-        sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
-      }
-      for (auto& r : seq.poll(now + 1_s)) out.records.push_back(std::move(r));
-      for (auto& r : seq.flush(now + 2_s)) {
-        out.records.push_back(std::move(r));
-      }
-      out.violations = seq.fairness_violations();
-      out.final_rank = seq.next_rank();
-      out.pending_after_flush = seq.pending_count();
-      return out;
-    };
-
-    const DriveResult fast_result = run(false);
-    const DriveResult ref_result = run(true);
-    expect_identical(fast_result, ref_result, v.label);
+TEST(OnlineEquivalence, RetirementMatchesTheNaiveGate) {
+  // retire_client pulls the client's node from anywhere in the gate's
+  // min-frontier heap, and the client's next word puts it back. With an
+  // infinite silence timeout nothing else drops a client from the gate.
+  OnlineConfig config;
+  config.threshold = 0.75;
+  config.p_safe = 0.99;
+  config.preceding.grid_points = 256;
+  for (Shape shape : {Shape::kGaussian, Shape::kGumbel}) {
+    for (std::uint64_t seed : {3u, 4u, 5u}) {
+      SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)) +
+                   ", seed " + std::to_string(seed));
+      const Scenario s = make_scenario(seed, shape, 8, 400, false);
+      OnlineSequencer fast(s.registry, s.expected, config);
+      const DriveResult fast_result = drive(fast, s, /*retire_every=*/23);
+      ReferenceSequencer oracle(s.registry, s.expected, config);
+      expect_identical(fast_result, drive(oracle, s, /*retire_every=*/23),
+                       "retirement");
+      // A stream that chains into one or two batches exercises no gate.
+      EXPECT_GE(fast_result.records.size(), 10u);
+    }
   }
+}
+
+/// A Gaussian population whose client 0 is re-learned halfway through
+/// the stream, with all-client heartbeats and a poll every `poll_every`
+/// messages. A bare sequencer takes up the announce at its next call; the
+/// oracle is rebound right after it.
+struct Reannounce {
+  std::uint64_t seed;
+  std::size_t clients;
+  double scale;
+  std::size_t count;
+  Duration gap;
+  OnlineConfig config;
+  double new_mean;
+  double new_sigma;
+  std::size_t poll_every;
+};
+
+template <typename Seq>
+DriveResult drive_reannounce(
+    const Reannounce& r, const sim::Population& population,
+    const std::vector<sim::ObservedMessage>& observed) {
+  ClientRegistry registry;
+  population.seed_registry(registry);
+  Seq seq(registry, population.ids(), r.config);
+  std::unordered_map<ClientId, typename Seq::Session> sessions;
+  for (ClientId c : population.ids()) {
+    sessions.emplace(c, seq.open_session(c));
+  }
+  DriveResult out;
+  auto append = [&](std::vector<EmissionRecord>&& recs) {
+    for (auto& rec : recs) out.records.push_back(std::move(rec));
+  };
+  TimePoint now(0.0);
+  std::size_t k = 0;
+  for (const auto& om : observed) {
+    now = std::max(now, om.message.arrival);
+    sessions.at(om.message.client)
+        .submit(om.message.stamp, om.message.id, now);
+    if (++k == observed.size() / 2) {
+      registry.announce(
+          population.ids().front(),
+          std::make_unique<stats::Gaussian>(r.new_mean, r.new_sigma));
+      if constexpr (std::is_same_v<Seq, ReferenceSequencer>) seq.rebind({});
+    }
+    if (k % r.poll_every == 0) {
+      for (ClientId c : population.ids()) sessions.at(c).heartbeat(now, now);
+      append(seq.poll(now));
+    }
+  }
+  for (ClientId c : population.ids()) {
+    sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
+  }
+  append(seq.poll(now + 1_s));
+  append(seq.flush(now + 2_s));
+  out.violations = seq.fairness_violations();
+  out.final_rank = seq.next_rank();
+  out.pending_after_flush = seq.pending_count();
+  return out;
+}
+
+void run_reannounce_equivalence(const Reannounce& r, const char* label) {
+  Rng rng(r.seed);
+  const sim::Population population =
+      sim::gaussian_population(r.clients, r.scale, rng);
+  const auto events =
+      sim::poisson_workload(population.ids(), r.count, r.gap, rng);
+  const auto observed = sim::materialize_messages(
+      population, events, sim::MaterializeConfig{}, rng);
+  expect_identical(
+      drive_reannounce<OnlineSequencer>(r, population, observed),
+      drive_reannounce<ReferenceSequencer>(r, population, observed), label);
+}
+
+OnlineConfig reannounce_config() {
+  OnlineConfig config;
+  config.threshold = 0.75;
+  config.p_safe = 0.99;
+  return config;
+}
+
+TEST(OnlineEquivalence, MidRunReannounceRefreshesConstants) {
+  // A mid-run re-announce re-keys and re-sorts the fast path's buffer at
+  // its first entry-point call after the announce, so the sorted
+  // invariant (and the windowed scans it licenses) holds across the
+  // boundary. Two regimes: a mild re-learn whose re-sort is a no-op, and
+  // a drastic mean shift (≫ every critical gap) landing on a deep
+  // backlog, where the re-sort genuinely reorders the pending buffer.
+  run_reannounce_equivalence(
+      {99, 6, 50e-6, 300, 10_us, reannounce_config(), 20e-6, 120e-6, 7},
+      "mild-shift");
+  run_reannounce_equivalence(
+      {99, 6, 50e-6, 300, 10_us, reannounce_config(), 0.5, 120e-6, 61},
+      "drastic-shift-deep-buffer");
 }
 
 TEST(OnlineEquivalence, NumericReannounceDropsStaleDensities) {
   // On the numeric path a re-announce must also retire the cached Δθ
   // densities: fresh means mixed with stale difference quantiles would
-  // break the critical-gap correspondence (and its row bounds). Drive a
-  // forced-numeric run with a drastic mid-run re-learn and require the
-  // modes to stay bit-identical.
-  Rng rng(1234);
-  sim::Population population = sim::gaussian_population(5, 60e-6, rng);
-  const auto events = sim::poisson_workload(population.ids(), 200, 12_us, rng);
-  const auto observed = sim::materialize_messages(
-      population, events, sim::MaterializeConfig{}, rng);
-
-  auto run = [&](bool reference_mode) {
-    ClientRegistry registry;
-    population.seed_registry(registry);
-    OnlineConfig config;
-    config.threshold = 0.75;
-    config.p_safe = 0.99;
-    config.reference_mode = reference_mode;
-    config.preceding.force_numeric = true;
-    config.preceding.grid_points = 128;
-    OnlineSequencer seq(registry, population.ids(), config);
-    std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
-    for (ClientId c : population.ids()) {
-      sessions.emplace(c, seq.open_session(c));
-    }
-    DriveResult out;
-    TimePoint now(0.0);
-    std::size_t k = 0;
-    for (const auto& om : observed) {
-      now = std::max(now, om.message.arrival);
-      sessions.at(om.message.client)
-          .submit(om.message.stamp, om.message.id, now);
-      if (++k == observed.size() / 2) {
-        registry.announce(population.ids().front(),
-                          std::make_unique<stats::Gaussian>(5e-3, 200e-6));
-      }
-      if (k % 17 == 0) {
-        for (ClientId c : population.ids()) sessions.at(c).heartbeat(now, now);
-        for (auto& r : seq.poll(now)) out.records.push_back(std::move(r));
-      }
-    }
-    for (ClientId c : population.ids()) {
-      sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
-    }
-    for (auto& r : seq.poll(now + 1_s)) out.records.push_back(std::move(r));
-    for (auto& r : seq.flush(now + 2_s)) out.records.push_back(std::move(r));
-    out.violations = seq.fairness_violations();
-    out.final_rank = seq.next_rank();
-    out.pending_after_flush = seq.pending_count();
-    return out;
-  };
-
-  const DriveResult fast_result = run(false);
-  const DriveResult ref_result = run(true);
-  expect_identical(fast_result, ref_result, "numeric-reannounce");
+  // break the critical-gap correspondence (and its row bounds).
+  OnlineConfig config = reannounce_config();
+  config.preceding.force_numeric = true;
+  config.preceding.grid_points = 128;
+  run_reannounce_equivalence(
+      {1234, 5, 60e-6, 200, 12_us, config, 5e-3, 200e-6, 17},
+      "numeric-reannounce");
 }
 
-TEST(OnlineEquivalence, SessionAndServiceSurfacesAgreeFastMode) {
+TEST(OnlineEquivalence, SessionAndServiceSurfacesAgree) {
   OnlineConfig config;
   config.threshold = 0.75;
   config.p_safe = 0.999;
   for (std::uint64_t seed : {11u, 22u, 33u}) {
     run_surface_equivalence(seed, Shape::kGaussian, 8, 500, config,
-                            /*reference_mode=*/false, "surfaces-fast");
+                            "surfaces");
   }
-}
-
-TEST(OnlineEquivalence, SessionAndServiceSurfacesAgreeReferenceMode) {
-  OnlineConfig config;
-  config.threshold = 0.75;
   config.p_safe = 0.99;
   for (std::uint64_t seed : {11u, 29u}) {
     run_surface_equivalence(seed, Shape::kGaussian, 6, 250, config,
-                            /*reference_mode=*/true, "surfaces-reference");
+                            "surfaces-p-safe-0.99");
   }
 }
 
@@ -487,74 +478,27 @@ TEST(OnlineEquivalence, SessionSurfaceAgreesOnNumericPath) {
   config.p_safe = 0.99;
   config.preceding.grid_points = 256;
   run_surface_equivalence(17u, Shape::kGumbel, 6, 300, config,
-                          /*reference_mode=*/false, "surfaces-numeric");
+                          "surfaces-numeric");
 }
 
 TEST(OnlineEquivalence, SessionSurfaceAgreesWithViolations) {
   // Low p_safe forces emissions past in-flight messages, so the violation
-  // accounting must match across modes and the service exactly too.
+  // accounting must match the oracle and the service exactly too.
   OnlineConfig config;
   config.threshold = 0.6;
   config.p_safe = 0.51;
   for (std::uint64_t seed : {1u, 2u}) {
     run_surface_equivalence(seed, Shape::kGaussian, 8, 400, config,
-                            /*reference_mode=*/false, "surfaces-violations");
+                            "surfaces-violations");
   }
 }
 
 TEST(OnlineEquivalence, FastSessionsMatchReferenceAcrossReannounce) {
   // A mid-run re-announce must refresh the session-cached offsets through
-  // the generation counter: drive fast-mode and reference-mode sessions
-  // over the same stream with the same mid-run re-learn and require
-  // identical emissions.
-  Rng rng(77);
-  sim::Population population = sim::gaussian_population(6, 50e-6, rng);
-  const auto events = sim::poisson_workload(population.ids(), 300, 10_us, rng);
-  const auto observed = sim::materialize_messages(
-      population, events, sim::MaterializeConfig{}, rng);
-
-  auto run = [&](bool reference_mode) {
-    ClientRegistry registry;
-    population.seed_registry(registry);
-    OnlineConfig config;
-    config.threshold = 0.75;
-    config.p_safe = 0.99;
-    config.reference_mode = reference_mode;
-    OnlineSequencer seq(registry, population.ids(), config);
-    std::unordered_map<ClientId, OnlineSequencer::Session> sessions;
-    for (ClientId c : population.ids()) {
-      sessions.emplace(c, seq.open_session(c));
-    }
-    DriveResult out;
-    TimePoint now(0.0);
-    std::size_t k = 0;
-    for (const auto& om : observed) {
-      now = std::max(now, om.message.arrival);
-      sessions.at(om.message.client)
-          .submit(om.message.stamp, om.message.id, now);
-      if (++k == observed.size() / 2) {
-        registry.announce(population.ids().front(),
-                          std::make_unique<stats::Gaussian>(20e-6, 120e-6));
-      }
-      if (k % 7 == 0) {
-        for (ClientId c : population.ids()) sessions.at(c).heartbeat(now, now);
-        for (auto& r : seq.poll(now)) out.records.push_back(std::move(r));
-      }
-    }
-    for (ClientId c : population.ids()) {
-      sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
-    }
-    for (auto& r : seq.poll(now + 1_s)) out.records.push_back(std::move(r));
-    for (auto& r : seq.flush(now + 2_s)) out.records.push_back(std::move(r));
-    out.violations = seq.fairness_violations();
-    out.final_rank = seq.next_rank();
-    out.pending_after_flush = seq.pending_count();
-    return out;
-  };
-
-  const DriveResult fast_result = run(false);
-  const DriveResult ref_result = run(true);
-  expect_identical(fast_result, ref_result, "session-reannounce");
+  // the generation counter.
+  run_reannounce_equivalence(
+      {77, 6, 50e-6, 300, 10_us, reannounce_config(), 20e-6, 120e-6, 7},
+      "session-reannounce");
 }
 
 TEST(OnlineEquivalence, DuplicateExpectedClientsCollapse) {

@@ -142,76 +142,6 @@ TEST(PrecedingNumeric, CachesPerOrderedClientPair) {
   EXPECT_EQ(engine.cached_pairs(), 2u);  // reverse direction is its own key
 }
 
-TEST(PrecedingNumeric, BoundedCacheEvictsLeastRecentlyUsed) {
-  ClientRegistry registry;
-  for (std::uint32_t c = 0; c < 4; ++c) {
-    registry.announce(ClientId(c),
-                      std::make_unique<stats::Uniform>(-1.0 - c, 1.0 + c));
-  }
-
-  PrecedingConfig config;
-  config.grid_points = 128;
-  config.difference_cache_capacity = 2;
-  PrecedingEngine engine(registry, config);
-
-  const auto probe = [&engine](std::uint32_t a, std::uint32_t b) {
-    return engine.preceding_probability(msg(0, a, 0.0), msg(1, b, 0.1));
-  };
-
-  const double p01 = probe(0, 1);
-  const double p12 = probe(1, 2);
-  EXPECT_EQ(engine.cached_pairs(), 2u);
-
-  // (0,1) is LRU; touching it first makes (1,2) the eviction victim.
-  EXPECT_EQ(probe(0, 1), p01);
-  (void)probe(2, 3);  // evicts (1,2)
-  EXPECT_EQ(engine.cached_pairs(), 2u);
-
-  // Re-deriving the evicted pair gives the same density → same value.
-  EXPECT_EQ(probe(1, 2), p12);
-  EXPECT_EQ(engine.cached_pairs(), 2u);
-}
-
-TEST(PrecedingNumeric, BoundedCacheMatchesUnboundedEverywhere) {
-  // The bound must only affect memory, never values: sweep a grid of
-  // queries over every ordered pair against an unbounded twin.
-  ClientRegistry bounded_registry;
-  ClientRegistry unbounded_registry;
-  for (std::uint32_t c = 0; c < 5; ++c) {
-    const double half_width = 0.5 + 0.3 * c;
-    bounded_registry.announce(
-        ClientId(c), std::make_unique<stats::Uniform>(-half_width,
-                                                      half_width));
-    unbounded_registry.announce(
-        ClientId(c), std::make_unique<stats::Uniform>(-half_width,
-                                                      half_width));
-  }
-
-  PrecedingConfig bounded_config;
-  bounded_config.grid_points = 128;
-  bounded_config.difference_cache_capacity = 3;
-  PrecedingEngine bounded(bounded_registry, bounded_config);
-
-  PrecedingConfig unbounded_config;
-  unbounded_config.grid_points = 128;
-  PrecedingEngine unbounded(unbounded_registry, unbounded_config);
-
-  for (std::uint32_t a = 0; a < 5; ++a) {
-    for (std::uint32_t b = 0; b < 5; ++b) {
-      if (a == b) continue;
-      for (double gap : {-0.4, 0.0, 0.3}) {
-        const Message i = msg(0, a, gap);
-        const Message j = msg(1, b, 0.0);
-        EXPECT_EQ(bounded.preceding_probability(i, j),
-                  unbounded.preceding_probability(i, j))
-            << "pair (" << a << "," << b << ") gap " << gap;
-      }
-      EXPECT_LE(bounded.cached_pairs(), 3u);
-    }
-  }
-  EXPECT_GT(unbounded.cached_pairs(), 3u);  // the bound was actually live
-}
-
 /// One registry holding every client of `populations`, numbered densely
 /// in order.
 ClientRegistry registry_of(

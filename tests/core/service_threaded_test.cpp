@@ -24,6 +24,8 @@
 #include "sim/workload.hpp"
 #include "stats/gaussian.hpp"
 
+#include "reference_sequencer.hpp"
+
 namespace tommy::core {
 namespace {
 
@@ -206,6 +208,23 @@ TEST(ServiceThreadedTest, FourShardThreadedMatchesSequentialBitForBit) {
   }
 }
 
+/// One leg of a lockstep drive: a service (or the ShardedReference of
+/// one), its sessions and the (record, shard) sequence it emitted.
+template <typename Service>
+struct Leg {
+  Service& service;
+  std::unordered_map<ClientId, typename Service::Session> sessions{};
+  std::vector<Tagged> out{};
+
+  void poll(TimePoint now) { service.poll(now, collect()); }
+  void flush(TimePoint now) { service.flush(now, collect()); }
+  auto collect() {
+    return [this](EmissionRecord&& record, std::uint32_t shard) {
+      out.push_back(Tagged{std::move(record), shard});
+    };
+  }
+};
+
 TEST(ServiceThreadedTest, ReannounceWaitsForTheInstallInBothModes) {
   // A registry re-announce reaches no shard before an install, in either
   // mode: every shard keeps its epoch's engine, buffered keys, safe times
@@ -215,7 +234,8 @@ TEST(ServiceThreadedTest, ReannounceWaitsForTheInstallInBothModes) {
   // kept its stale buffer and frontiers while its sessions already read
   // the new offsets. The set-up is service_test's
   // MultiShardMatchesIndependentBareSequencers; at the midpoint a client
-  // of shard 2 is re-learned and no install follows.
+  // of shard 2 is re-learned and no install follows, so the third leg —
+  // one oracle per shard — stays bound to the construction-time epoch.
   Rng rng(123);
   const sim::Population pop = sim::gaussian_population(12, 60e-6, rng);
   const auto events = sim::poisson_workload(pop.ids(), 600, 15_us, rng);
@@ -233,6 +253,7 @@ TEST(ServiceThreadedTest, ReannounceWaitsForTheInstallInBothModes) {
   FairOrderingService sequential(registry, pop.ids(), config);
   FairOrderingService threaded(registry, pop.ids(),
                                ServiceConfig(config).with_worker_threads());
+  ShardedReference oracle(sequential, registry, pop.ids(), config.online);
 
   const std::vector<ClientId> ids = pop.ids();
   const auto in_shard_2 = std::find_if(ids.begin(), ids.end(), [&](ClientId c) {
@@ -241,63 +262,57 @@ TEST(ServiceThreadedTest, ReannounceWaitsForTheInstallInBothModes) {
   ASSERT_NE(in_shard_2, ids.end());
   const ClientId relearned = *in_shard_2;
 
-  struct Side {
-    FairOrderingService& service;
-    std::unordered_map<ClientId, FairOrderingService::Session> sessions;
-    std::vector<Tagged> out;
-    void poll(TimePoint now) {
-      service.poll(now, [this](EmissionRecord&& record, std::uint32_t shard) {
-        out.push_back(Tagged{std::move(record), shard});
-      });
-    }
+  Leg<FairOrderingService> seq_leg{sequential};
+  Leg<FairOrderingService> thr_leg{threaded};
+  Leg<ShardedReference> oracle_leg{oracle};
+  auto each = [&](auto&& fn) {
+    fn(seq_leg);
+    fn(thr_leg);
+    fn(oracle_leg);
   };
-  Side sides[] = {{sequential, {}, {}}, {threaded, {}, {}}};
-  for (Side& side : sides) {
-    for (ClientId c : pop.ids()) {
-      side.sessions.emplace(c, side.service.open_session(c));
-    }
-  }
+  each([&](auto& leg) {
+    for (ClientId c : ids) leg.sessions.emplace(c, leg.service.open_session(c));
+  });
 
   TimePoint now(0.0);
   std::size_t k = 0;
   for (const auto& om : observed) {
     now = std::max(now, om.message.arrival);
-    for (Side& side : sides) {
-      side.sessions.at(om.message.client)
+    each([&](auto& leg) {
+      leg.sessions.at(om.message.client)
           .submit(om.message.stamp, om.message.id, now);
-    }
+    });
     ++k;
     if (k == observed.size() / 2) {
       registry.announce(relearned,
                         std::make_unique<stats::Gaussian>(-400e-6, 60e-6));
-      for (Side& side : sides) side.poll(now);
+      each([&](auto& leg) { leg.poll(now); });
     }
     if (k % 11 == 0) {
-      for (Side& side : sides) {
-        for (ClientId c : pop.ids()) side.sessions.at(c).heartbeat(now, now);
-      }
+      each([&](auto& leg) {
+        for (ClientId c : ids) leg.sessions.at(c).heartbeat(now, now);
+      });
     }
     if (k % 5 == 0) {
-      for (Side& side : sides) side.poll(now);
+      each([&](auto& leg) { leg.poll(now); });
     }
   }
-  for (Side& side : sides) {
-    for (ClientId c : pop.ids()) {
-      side.sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
-    }
-    side.poll(now + 1_s);
-    side.service.flush(now + 2_s, [&side](EmissionRecord&& record,
-                                          std::uint32_t shard) {
-      side.out.push_back(Tagged{std::move(record), shard});
-    });
-    EXPECT_EQ(side.service.epoch(), 0u);  // nothing was installed
-    EXPECT_TRUE(side.service.reconfig_pending());
+  each([&](auto& leg) {
+    for (ClientId c : ids) leg.sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
+    leg.poll(now + 1_s);
+    leg.flush(now + 2_s);
+  });
+  for (const FairOrderingService* service : {&sequential, &threaded}) {
+    EXPECT_EQ(service->epoch(), 0u);  // nothing was installed
+    EXPECT_TRUE(service->reconfig_pending());
   }
 
-  expect_identical_per_shard(sides[0].out, sides[1].out, 3,
+  expect_identical_per_shard(seq_leg.out, thr_leg.out, 3,
                              "sequential vs threaded");
+  expect_identical_per_shard(seq_leg.out, oracle_leg.out, 3,
+                             "sequential vs pinned oracle");
   std::size_t messages = 0;
-  for (const Tagged& t : sides[0].out) {
+  for (const Tagged& t : seq_leg.out) {
     messages += t.record.batch.messages.size();
   }
   EXPECT_EQ(messages, observed.size());
@@ -447,16 +462,6 @@ TEST(ServiceThreadedTest, GlobalMergeDeliversSameRecordsTotallyOrdered) {
     EXPECT_EQ(merged_out[0][r].record.batch.rank,
               merged_out[1][r].record.batch.rank);
   }
-}
-
-TEST(ServiceThreadedTest, ReferenceModeRefusesWorkerThreads) {
-  ClientRegistry registry;
-  registry.announce(ClientId(0), std::make_unique<stats::Gaussian>(0.0, 1e-3));
-  ServiceConfig config;
-  config.with_p_safe(0.99).with_worker_threads();
-  config.online.reference_mode = true;
-  EXPECT_DEATH(FairOrderingService(registry, {ClientId(0)}, config),
-               "precondition");
 }
 
 TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
