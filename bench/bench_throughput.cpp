@@ -2,13 +2,9 @@
 // versus the general tournament path, the baselines, and the online
 // ingest cost across its surfaces — the Session handle (hash-free),
 // batched session submits, and the sharded FairOrderingService (sessions
-// + sink emission, 1/2/4 shards) in both execution modes: inline (third
-// arg 0) and per-shard worker threads fed by SPSC rings (third arg 1,
-// where shard count buys real parallel ingest+closure on a multi-core
-// host).
+// + sink emission, 1/2/4 shards).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -166,9 +162,10 @@ BENCHMARK(BM_SessionIngestAndPoll)
     ->Arg(65536);
 
 void BM_SessionChunkedReplay(benchmark::State& state) {
-  // The queue-drain ingest shape (what the service's shard workers do
-  // with their SPSC rings): messages regrouped into per-session runs of
-  // up to 64, applied run by run. range(1) selects the application
+  // The wire front-end's ingest shape (each connection accumulates its
+  // decoded submits and applies them through Session::submit_batch):
+  // messages regrouped into per-session runs of up to 64, applied run by
+  // run. range(1) selects the application
   // surface over the IDENTICAL run sequence — 0: a submit_relaxed call
   // per message; 1: one submit_batch_relaxed per run, which hoists the
   // re-prime check, the generation compare and the completeness-gate
@@ -238,20 +235,14 @@ BENCHMARK(BM_SessionChunkedReplay)
 void BM_ServiceIngestAndPoll(benchmark::State& state) {
   // The full service surface: burst ingest through sessions into a
   // range-sharded FairOrderingService, drained through the emission sink
-  // (no intermediate vectors). range(0) = messages, range(1) = shards,
-  // range(2) = 1 for the threaded execution engine (per-shard workers +
-  // SPSC ingest rings; the producer enqueues while the workers run the
-  // buffer insert and incremental closure in parallel — the poll at the
-  // end synchronizes, so the timed region covers full completion).
+  // (no intermediate vectors). range(0) = messages, range(1) = shards.
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::uint32_t>(state.range(1));
-  const bool threaded = state.range(2) != 0;
   Workbench bench(50, count, Rng(5));
   for (auto _ : state) {
     state.PauseTiming();
     core::ServiceConfig config;
-    config.with_p_safe(0.999).with_shards(shards).with_worker_threads(
-        threaded);
+    config.with_p_safe(0.999).with_shards(shards);
     std::optional<core::FairOrderingService> service;
     service.emplace(bench.registry, bench.population.ids(), config);
     std::vector<core::FairOrderingService::Session> sessions;
@@ -274,34 +265,28 @@ void BM_ServiceIngestAndPoll(benchmark::State& state) {
                                  std::uint32_t) { emitted += record.batch.messages.size(); });
     benchmark::DoNotOptimize(emitted);
 
-    // Teardown (worker stop + joins in threaded mode) outside the timed
-    // region, or shard scaling would be biased by per-iteration joins.
+    // Teardown outside the timed region, like the set-up.
     state.PauseTiming();
     service.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-// Real time, not producer CPU time: with worker threads the producer's
-// CPU column only covers the enqueue side, while the poll barrier makes
-// wall clock cover full completion — the honest scaling metric.
 BENCHMARK(BM_ServiceIngestAndPoll)
-    ->ArgsProduct({{4096, 16384, 65536}, {1, 2, 4}, {0, 1}})
+    ->ArgsProduct({{4096, 16384, 65536}, {1, 2, 4}})
     ->UseRealTime();
 
 void BM_ServiceSteadyStateDrain(benchmark::State& state) {
   // Steady-state service shape: interleaved sessions ingest, heartbeats,
   // frequent sink polls; multi-shard buffers stay at emission-lag depth.
-  // range(0) = messages, range(1) = shards, range(2) = threaded engine.
+  // range(0) = messages, range(1) = shards.
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::uint32_t>(state.range(1));
-  const bool threaded = state.range(2) != 0;
   Workbench bench(50, count, Rng(7));
   for (auto _ : state) {
     state.PauseTiming();
     core::ServiceConfig config;
-    config.with_p_safe(0.999).with_shards(shards).with_worker_threads(
-        threaded);
+    config.with_p_safe(0.999).with_shards(shards);
     std::optional<core::FairOrderingService> service;
     service.emplace(bench.registry, bench.population.ids(), config);
     std::vector<core::FairOrderingService::Session> sessions;
@@ -332,14 +317,14 @@ void BM_ServiceSteadyStateDrain(benchmark::State& state) {
     service->poll(now + 1_s, sink);
     benchmark::DoNotOptimize(emitted);
 
-    state.PauseTiming();  // teardown (worker joins) outside the clock
+    state.PauseTiming();  // teardown outside the clock
     service.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ServiceSteadyStateDrain)
-    ->ArgsProduct({{4096, 65536}, {1, 2, 4}, {0, 1}})
+    ->ArgsProduct({{4096, 65536}, {1, 2, 4}})
     ->UseRealTime();
 
 void BM_BackloggedInsertRelease(benchmark::State& state) {
@@ -417,67 +402,15 @@ BENCHMARK(BM_BackloggedInsertRelease)
     ->UseRealTime();
 
 void BM_ServiceReconfigSwap(benchmark::State& state) {
-  // Live-reconfiguration cost: one mutating re-announce followed by the
-  // full RCU epoch swap (off-thread prime to the new generation, per-
-  // shard quiesce, install). range(0) = clients; range(1): 0 = idle
-  // service (pure swap latency), 1 = swap while a producer thread keeps
-  // the ingest rings hot — the quiesce drains real traffic and the
-  // producer_submits_per_s counter shows the ingest rate sustained
-  // across swaps (the throughput dip). Threaded engine, 2 shards.
+  // Live-reconfiguration cost on an idle service: one mutating
+  // re-announce followed by the full RCU epoch swap (off-thread prime to
+  // the new generation, then the install). range(0) = clients; 2 shards.
   const auto clients = static_cast<std::size_t>(state.range(0));
-  const bool under_load = state.range(1) != 0;
   Workbench bench(clients, 8192, Rng(11));
   core::ServiceConfig config;
-  config.with_p_safe(0.999).with_shards(2).with_worker_threads();
+  config.with_p_safe(0.999).with_shards(2);
   core::FairOrderingService service(bench.registry, bench.population.ids(),
                                     config);
-  std::vector<core::FairOrderingService::Session> sessions;
-  sessions.reserve(bench.population.size());
-  for (ClientId c : bench.population.ids()) {
-    sessions.push_back(service.open_session(c));
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> produced{0};
-  std::thread producer;
-  if (under_load) {
-    producer = std::thread([&] {
-      double now = 1.0;
-      std::size_t k = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const core::Message& m = bench.messages[k % bench.messages.size()];
-        now += 2e-7;
-        sessions[m.client.value()].submit(TimePoint(now - 1e-4),
-                                          MessageId(k), TimePoint(now));
-        produced.fetch_add(1, std::memory_order_relaxed);
-        ++k;
-        if (k % 256 == 0) {
-          // Heartbeat + poll keep the shard buffers at steady-state
-          // depth: an unpolled backlog degrades per-op ingest cost
-          // (sorted-vector insert) and the swap would measure the
-          // degradation, not the protocol.
-          for (auto& session : sessions) {
-            session.heartbeat(TimePoint(now), TimePoint(now));
-          }
-          std::size_t drained = 0;
-          service.poll(TimePoint(now),
-                       [&drained](core::EmissionRecord&& record,
-                                  std::uint32_t) {
-                         drained += record.batch.messages.size();
-                       });
-          benchmark::DoNotOptimize(drained);
-        }
-        if (k % 32 == 0) {
-          // Pace the producer: a saturating spin-loop starves the shard
-          // workers of CPU on small hosts and measures scheduler
-          // contention, not swap latency — and an ingest rate near the
-          // drain rate lets one stalled swap tip the buffers into the
-          // quadratic-backlog regime.
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      }
-    });
-  }
 
   double sigma = 20e-6;
   for (auto _ : state) {
@@ -486,23 +419,9 @@ void BM_ServiceReconfigSwap(benchmark::State& state) {
                             std::make_unique<stats::Gaussian>(0.0, sigma));
     service.reconfigure();
   }
-  stop.store(true, std::memory_order_relaxed);
-  if (producer.joinable()) producer.join();
-
   state.SetItemsProcessed(state.iterations());
-  if (under_load) {
-    state.counters["producer_submits_per_s"] = benchmark::Counter(
-        static_cast<double>(produced.load()), benchmark::Counter::kIsRate);
-  }
 }
-BENCHMARK(BM_ServiceReconfigSwap)->Args({64, 0})->UseRealTime();
-// Fixed iteration count: the under-load variant's wall time is swap
-// latency × iterations, and letting min_time scale the count turns a
-// single scheduler stall into a minutes-long run on small hosts.
-BENCHMARK(BM_ServiceReconfigSwap)
-    ->Args({64, 1})
-    ->UseRealTime()
-    ->Iterations(20);
+BENCHMARK(BM_ServiceReconfigSwap)->Arg(64)->UseRealTime();
 
 }  // namespace
 
@@ -513,15 +432,13 @@ BENCHMARK(BM_ServiceReconfigSwap)
 int main(int argc, char** argv) {
   // Provenance for the tracked BENCH_throughput.json: the library's build
   // type (the stock "library_build_type" context reflects how
-  // libbenchmark itself was compiled, not this code) and the thread/shard
-  // grid the service benchmarks sweep.
+  // libbenchmark itself was compiled, not this code) and the shard grid
+  // the service benchmarks sweep.
   benchmark::AddCustomContext("tommy_build_type", TOMMY_BUILD_TYPE);
   benchmark::AddCustomContext(
       "hardware_threads",
       std::to_string(std::thread::hardware_concurrency()));
   benchmark::AddCustomContext("service_shard_configs", "1,2,4");
-  benchmark::AddCustomContext("service_worker_modes",
-                              "0=inline,1=per-shard worker threads");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -162,19 +162,9 @@ int main() {
   // channels).
   const Duration heartbeat_lag = 2_ms;
 
-  // The 4-shard row runs twice — inline and with the threaded execution
-  // engine (per-shard workers fed by SPSC rings). The emitted batches are
-  // bit-identical; only who does the insert+closure work changes.
-  struct SweepPoint {
-    std::uint32_t shards;
-    bool workers;
-  };
-  for (const SweepPoint point : {SweepPoint{1, false}, SweepPoint{2, false},
-                                 SweepPoint{4, false}, SweepPoint{4, true}}) {
-    const std::uint32_t shards = point.shards;
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
     core::ServiceConfig service_config;
-    service_config.with_p_safe(0.999).with_shards(shards).with_worker_threads(
-        point.workers);
+    service_config.with_p_safe(0.999).with_shards(shards);
     core::FairOrderingService service(registry, traders.ids(),
                                       service_config);
 
@@ -222,8 +212,8 @@ int main() {
     service.poll(now + 1_s, sink);
 
     std::printf(
-        "  %-2u %-4s %10zu %12zu %17.1f %17.1f\n", shards,
-        point.workers ? "thrd" : "", batches, service.fairness_violations(),
+        "  %-7u %10zu %12zu %17.1f %17.1f\n", shards, batches,
+        service.fairness_violations(),
         batches > 0 ? batch_total / static_cast<double>(batches) : 0.0,
         local_batches > 0
             ? local_batch_total / static_cast<double>(local_batches)

@@ -98,43 +98,35 @@ void randomized_stream() {
 
   // The same stream through 1/2/4 shards: per-shard fairness is
   // preserved, the completeness gates decouple, and latency falls as
-  // each shard only waits on its own clients. The threaded execution
-  // engine (per-shard workers + SPSC ingest rings) produces the exact
-  // same emissions — the workers are an invisible optimization — so the
-  // sweep runs both engines and reports them side by side.
+  // each shard only waits on its own clients.
   std::printf("\nshard sweep (p_safe=0.999, range router):\n");
   for (std::uint32_t shards : {1u, 2u, 4u}) {
-    for (const bool workers : {false, true}) {
-      sim::OnlineRunConfig config;
-      config.sequencer.p_safe = 0.999;
-      config.shard_count = shards;
-      config.worker_threads = workers;
-      config.heartbeat_interval = 500_us;
-      config.poll_interval = 100_us;
-      config.drain = 100_ms;
+    sim::OnlineRunConfig config;
+    config.sequencer.p_safe = 0.999;
+    config.shard_count = shards;
+    config.heartbeat_interval = 500_us;
+    config.poll_interval = 100_us;
+    config.drain = 100_ms;
 
-      Rng run_rng(7);
-      const sim::OnlineRunResult result =
-          sim::run_online(pop, events, config, run_rng);
-      std::printf(
-          "shards=%u %-8s emitted=%zu  batches=%zu  violations=%zu  "
-          "latency p50=%.2fms p99=%.2fms\n",
-          shards, workers ? "threaded" : "inline", result.emitted_messages,
-          result.emissions.size(), result.fairness_violations,
-          result.emission_latency.p50 * 1e3,
-          result.emission_latency.p99 * 1e3);
-    }
+    Rng run_rng(7);
+    const sim::OnlineRunResult result =
+        sim::run_online(pop, events, config, run_rng);
+    std::printf(
+        "shards=%u inline   emitted=%zu  batches=%zu  violations=%zu  "
+        "latency p50=%.2fms p99=%.2fms\n",
+        shards, result.emitted_messages, result.emissions.size(),
+        result.fairness_violations, result.emission_latency.p50 * 1e3,
+        result.emission_latency.p99 * 1e3);
   }
 
   // Consumers that need one total stream across shards: the global-merge
   // drain releases batches in (T_b, shard, rank) order, gated on
   // min(next_safe_time) across shards.
-  std::printf("\nglobal-merge drain (4 shards, threaded):\n");
+  std::printf("\nglobal-merge drain (4 shards):\n");
   {
     sim::OnlineRunConfig config;
     config.sequencer.p_safe = 0.999;
     config.shard_count = 4;
-    config.worker_threads = true;
     config.drain_policy = core::DrainPolicy::kGlobalMerge;
     config.heartbeat_interval = 500_us;
     config.poll_interval = 100_us;

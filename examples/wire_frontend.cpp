@@ -4,7 +4,7 @@
 // distribution, streams timestamped messages and heartbeats as
 // length-prefixed frames, and reads the fair order back as BatchEmission
 // frames — while the sequencer side is nothing but a FairOrderingService
-// (threaded engine) behind a FrameFrontend.
+// behind a FrameFrontend.
 //
 // Build & run:  ./build/example_wire_frontend
 #include <cstdio>
@@ -41,7 +41,7 @@ int main() {
   }
 
   core::ServiceConfig service_config;
-  service_config.with_p_safe(0.99).with_worker_threads();
+  service_config.with_p_safe(0.99);
   core::FairOrderingService service(registry, expected, service_config);
 
   // The demo models the network as a fixed 0.5 ms delivery delay, so the

@@ -4,7 +4,7 @@
 //   ./build/example_wire_replay                       # self-contained demo
 //   ./build/example_wire_replay record t.trace --clients 3 --messages 12
 //   ./build/example_wire_replay serve --unix /tmp/s.sock --clients 3
-//        --expect-submits 36 [--threads] [--shards 2] [--json out.json]
+//        --expect-submits 36 [--shards 2] [--json out.json]
 //        [--pollers M]
 //   ./build/example_wire_replay replay t.trace --unix /tmp/s.sock --speed 2
 //   ./build/example_wire_replay blast --unix /tmp/s.sock --client 0
@@ -160,7 +160,6 @@ struct Args {
   double speed{0.0};
   std::uint64_t expect_submits{0};
   std::uint32_t client{0};
-  bool threads{false};
   std::uint32_t shards{1};
   std::string json;
   /// serve: poller threads of the front-end's event loop.
@@ -178,9 +177,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     auto next = [&]() -> const char* {
       return ++i < argc ? argv[i] : nullptr;
     };
-    if (flag == "--threads") {
-      args.threads = true;
-    } else if (flag[0] != '-') {
+    if (flag[0] != '-') {
       args.positional.push_back(flag);
     } else {
       const char* value = next();
@@ -257,7 +254,6 @@ int run_serve(const Args& args) {
   auto registry = make_registry(args.clients);
   core::ServiceConfig config;
   config.with_p_safe(0.99).with_shards(args.shards);
-  if (args.threads) config.with_worker_threads();
   core::FairOrderingService service(registry, ids(args.clients), config);
   // Real wall-clock arrivals: serve mode is the load-bench half, not the
   // equivalence half (replay against a modeled clock is the demo's job).
@@ -334,7 +330,7 @@ int run_serve(const Args& args) {
     std::fprintf(
         out,
         "{\n"
-        "  \"context\": {\"hardware_threads\": %u, \"workers\": %d,"
+        "  \"context\": {\"hardware_threads\": %u,"
         " \"shards\": %u, \"pollers\": %u},\n"
         "  \"benchmarks\": [\n"
         "    {\"name\": \"%s/clients:%u/messages:%llu\",\n"
@@ -346,8 +342,8 @@ int run_serve(const Args& args) {
         " \"bytes_per_second\": %.1f}\n"
         "  ]\n"
         "}\n",
-        std::thread::hardware_concurrency(), args.threads ? 1 : 0,
-        args.shards, args.pollers, family, args.clients,
+        std::thread::hardware_concurrency(), args.shards, args.pollers,
+        family, args.clients,
         static_cast<unsigned long long>(args.expect_submits), family,
         args.clients, static_cast<unsigned long long>(args.expect_submits),
         ingest_seconds * 1e3, ingest_seconds * 1e3, items_per_second,

@@ -28,12 +28,10 @@
 #                  bench_throughput_json.sh)
 #   MP_CLIENTS     client process count        (default 4)
 #   MP_MESSAGES    messages per client         (default 50000)
-#   MP_THREADS     1 = threaded service on every row (serve --threads;
-#                  default 0, the sequential service)
 #   MP_SHARDS      shard count                 (default 1)
-#   MP_POLLERS     poller threads, every row   (default 2; a single
-#                  sequential service serializes ingest behind one lock,
-#                  so more pollers only add contention)
+#   MP_POLLERS     poller threads, every row   (default 2; the service
+#                  serializes ingest behind one lock, so more pollers
+#                  only add contention)
 #   MP_EPOLL_MESSAGES  per-connection messages for the C=100 epoll row
 #                      (default 2000; the C=1000 row scales it by 1/10)
 #   BENCH_SMOKE    1 = small sizes for CI      (2 clients x 5000 msgs;
@@ -48,7 +46,6 @@ BUILD_DIR="${BUILD_DIR:-$ROOT/build}"
 TARGET="${1:-$ROOT/BENCH_throughput.json}"
 CLIENTS="${MP_CLIENTS:-4}"
 MESSAGES="${MP_MESSAGES:-50000}"
-THREADS="${MP_THREADS:-0}"
 SHARDS="${MP_SHARDS:-1}"
 POLLERS="${MP_POLLERS:-2}"
 EPOLL_MESSAGES="${MP_EPOLL_MESSAGES:-2000}"
@@ -101,7 +98,6 @@ trap '[[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null; rm -f "$SOCK" "$
 
 # Arguments every serve process shares, whatever the row.
 COMMON_SERVE_ARGS=(--shards "$SHARDS" --pollers "$POLLERS")
-if [[ "$THREADS" == "1" ]]; then COMMON_SERVE_ARGS+=(--threads); fi
 
 # ── Row 1: one blast process per client ──────────────────────────────────
 EXPECT=$((CLIENTS * MESSAGES))
@@ -120,7 +116,7 @@ SERVER_PID=""
 
 # ── Rows 2+3: C=100 and C=1000 connections ──────────────────────────────
 # One blast process drives all C sockets round-robin; the server runs
-# $POLLERS poller threads, threaded or not exactly as row 1.
+# $POLLERS poller threads, exactly as row 1.
 run_epoll_row() {
   local connections="$1" per_conn="$2" out="$3"
   local sock expect

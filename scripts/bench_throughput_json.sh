@@ -10,7 +10,8 @@
 # Release does NOT clear those cached flags, so a sanitized run would
 # silently pollute the perf trajectory). The bench binary itself stamps
 # the JSON context with tommy_build_type, hardware_threads and the
-# thread/shard grid the service benchmarks sweep.
+# shard grid the service benchmarks sweep; this script adds the CPU
+# model, nproc, compiler, flags and commit.
 #
 # Usage:
 #   scripts/bench_throughput_json.sh [output.json]
@@ -73,10 +74,9 @@ fi
 EXTRA_ARGS=()
 if [[ "$SMOKE" == "1" ]]; then
   # Smallest arg of each single-size series, plus the smallest message
-  # count of every multi-shard / worker-mode series, plus the idle-swap
-  # mode of the reconfig family (mode 1 spins a producer thread — too
-  # scheduler-sensitive for a smoke box; mode 0 keeps the family alive).
-  FILTER="${FILTER:-/(64|256|1024)\$|/4096(/[0-9]+)*(/real_time)?\$|ReconfigSwap/64/0(/real_time)?\$|BackloggedInsertRelease/10000(/real_time)?\$}"
+  # count of every multi-shard series, plus the reconfig family's one
+  # row.
+  FILTER="${FILTER:-/(64|256|1024)\$|/4096(/[0-9]+)*(/real_time)?\$|ReconfigSwap/64(/real_time)?\$|BackloggedInsertRelease/10000(/real_time)?\$}"
   # Plain-double form: accepted by every google-benchmark (the "0.05s"
   # suffix form only exists from 1.8 on).
   EXTRA_ARGS+=(--benchmark_min_time=0.05)
@@ -111,5 +111,61 @@ if [[ "$LIB_TYPE" != "release" ]]; then
   fi
   echo "warning: benchmark library is a '$LIB_TYPE' build (output: $OUT)" >&2
 fi
+
+# Provenance, the fields livebench prints: the hardware, toolchain and
+# commit the rows came from ("-dirty" when tracked files differ from it).
+python3 - "$OUT" "$ROOT" "$BUILD_DIR" <<'EOF'
+import json
+import os
+import subprocess
+import sys
+
+out, root, build = sys.argv[1:]
+
+
+def cache(key):
+    with open(os.path.join(build, "CMakeCache.txt")) as f:
+        for line in f:
+            if line.startswith(key + ":"):
+                return line.rstrip("\n").split("=", 1)[1]
+    return ""
+
+
+def first_line(*cmd):
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    return (done.stdout.splitlines() or [""])[0].strip()
+
+
+cpu_model = "unknown"
+with open("/proc/cpuinfo") as f:
+    for line in f:
+        if line.startswith("model name"):
+            cpu_model = line.split(":", 1)[1].strip()
+            break
+commit = first_line("git", "-C", root, "rev-parse", "HEAD") or "unknown"
+status = ["git", "-C", root, "status", "--porcelain", "--untracked-files=no"]
+artifact = os.path.relpath(os.path.realpath(out), os.path.realpath(root))
+if not artifact.startswith(".."):
+    # The tracked artifact this run is writing does not make the tree dirty.
+    status += ["--", ".", ":(exclude)" + artifact]
+if first_line(*status):
+    commit += "-dirty"
+with open(out) as f:
+    data = json.load(f)
+data["context"].update({
+    "cpu_model": cpu_model,
+    "nproc": os.cpu_count(),
+    "compiler": first_line(cache("CMAKE_CXX_COMPILER"), "--version"),
+    "cxx_flags": " ".join(flags for flags in (
+        cache("CMAKE_CXX_FLAGS"), cache("CMAKE_CXX_FLAGS_RELEASE")) if flags),
+    "commit": commit,
+})
+with open(out, "w") as f:
+    json.dump(data, f, indent=2)
+    f.write("\n")
+EOF
 
 echo "wrote $OUT"

@@ -173,9 +173,10 @@ class OnlineSequencer {
     /// arrival check: `now` may be out of order w.r.t. OTHER sessions'
     /// ingests (the sequencer tracks max arrival instead of asserting
     /// monotonicity). For consumers that drain several per-session FIFO
-    /// queues in arbitrary order — the FairOrderingService shard workers
-    /// do exactly this. Emissions are unaffected: between two polls the
-    /// buffer contents, completeness state and violation counts are
+    /// queues in arbitrary order — FairOrderingService::Session::
+    /// submit_batch applies the batches a front-end accumulates per
+    /// connection this way. Emissions are unaffected: between two polls
+    /// the buffer contents, completeness state and violation counts are
     /// ingest-order-independent (the buffer orders by corrected stamp,
     /// gate state is max-merged, violations compare each entry against
     /// the already-emitted set only).
@@ -275,8 +276,8 @@ class OnlineSequencer {
   /// entries, client frontiers, the gate heap — exactly as a re-prime
   /// would. Sessions refresh themselves lazily at their next call via the
   /// generation compare. The caller must guarantee no concurrent use of
-  /// this sequencer (in the threaded service the owning worker runs this
-  /// between drains); the new engine must be primed for this sequencer's
+  /// this sequencer (FairOrderingService installs between two caller
+  /// operations); the new engine must be primed for this sequencer's
   /// (threshold, p_safe).
   void rebind_engine(std::shared_ptr<const PrecedingEngine> engine,
                      std::span<const ClientId> new_clients);

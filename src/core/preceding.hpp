@@ -147,9 +147,9 @@ class PrecedingEngine {
   /// (stats/distribution.hpp).
   ///
   /// Between primes the engine is immutable under the whole fast_*
-  /// surface, which is what lets shard threads and a reconfiguration
-  /// primer read one shared engine with no synchronization (see
-  /// docs/architecture.md, "Threading model").
+  /// surface, which is what lets a service's shards and its
+  /// reconfiguration primer thread read one shared engine with no
+  /// synchronization (see docs/architecture.md, "Concurrency contract").
   ///
   /// The third argument has no effect: every prime fills every gap. It
   /// remains because the frozen livebench harness passes it.

@@ -1,8 +1,7 @@
 // FairOrderingService: the multi-shard front-end over the online
 // sequencer — the service boundary scalable fair-ordering deployments
 // need (key-range sharding over a shared primed engine, per-connection
-// sessions, sink-style emission, and an opt-in per-shard worker-thread
-// execution engine).
+// sessions, sink-style emission).
 //
 // Layering (see docs/architecture.md):
 //
@@ -28,46 +27,36 @@
 //    memory no-op for the engine.
 //  * Sessions are the only ingest surface: open_session(client) routes
 //    once, and every submit/heartbeat after that goes straight to the
-//    client's shard (or its ingest ring, in threaded mode).
+//    client's shard.
 //  * Emission is sink-style: poll(now, sink) hands each emitted batch to
 //    the sink exactly once (rvalue, no intermediate vectors), tagged with
 //    the emitting shard's index.
 //
-// ── Threaded mode (`ServiceConfig::worker_threads`) ─────────────────────
+// ── Concurrency contract ────────────────────────────────────────────────
 //
-// With worker threads enabled each populated shard owns a dedicated
-// worker. Ingest becomes a wait-free handoff: every session owns a
-// bounded SPSC ring (producer: the session's caller thread; consumer: the
-// shard worker), submit/heartbeat enqueue a small op and return, and the
-// worker drains its rings — applying the ordered-buffer insert and the
-// incremental closure off the caller's critical path — so N shards ingest
-// on N cores instead of one. poll/flush become synchronous commands: the
-// worker finishes draining everything enqueued before the call, runs the
-// emission attempt at the caller's `now`, and parks the records in a
-// per-shard emission queue the caller then streams to the sink. Because
-// per-shard emission state depends only on the SET of messages ingested
-// before each poll (never on their interleaving), a threaded service's
-// per-shard emission sequences are bit-identical to the sequential
-// service's — the randomized equivalence tests assert exactly that.
+// The service is one sequential process, like the paper's sequencer
+// (Figure 1, §3.5): its emissions depend only on which messages arrived
+// before each emission attempt.
+//  * Callers serialize ingest (session calls, close_session), poll/flush,
+//    the state accessors and the install (try_install_reconfig,
+//    reconfigure). net::FrameFrontend does this behind one ingest lock.
+//  * Topology reads (expects_client, shard_of, has_shard, engine,
+//    primed_generation, epoch) and the reconfig primer's entry points
+//    (expect_client, reconfig_pending, request_reconfig) are thread-safe.
+//  * The primer derives the next epoch's engine on its own thread, and
+//    every prime fans its critical-gap cells out on helper threads
+//    (PrecedingEngine::prime); neither touches shard state.
+//  * Engine immutability is epoch-scoped: within one epoch the shared
+//    engine has every critical gap filled and never mutates (no shard
+//    re-primes it); a registry re-announce starts a NEW epoch, derived
+//    off-thread (request_reconfig) and installed between two caller
+//    operations (try_install_reconfig), in-flight sessions revalidating
+//    by generation instead of erroring (see "Live reconfiguration" below).
 //
-// Threaded-mode contract (checked or documented):
-//  * one thread per session handle; different sessions may live on
-//    different threads freely (that is the point);
-//  * poll/flush/next_safe_time/pending_count/fairness_violations are
-//    serialized internally (any thread may call them);
-//  * engine immutability is epoch-scoped, in both modes: within one
-//    epoch the shared engine has every critical gap filled and never
-//    mutates (no shard re-primes it; workers read it lock-free); a
-//    registry re-announce starts a NEW epoch — a successor engine is
-//    derived off-thread (request_reconfig) and atomically installed at a
-//    per-shard quiesce point (try_install_reconfig), in-flight sessions
-//    revalidating by generation instead of erroring (see "Live
-//    reconfiguration" below).
-//
-// Between installs, a 1-shard sequential service is bit-identical to a
-// bare OnlineSequencer (the randomized equivalence tests assert this), so
-// the facade costs nothing when sharding is not wanted. A bare sequencer
-// owns its engine and takes up a re-announce at its next call; a service
+// Between installs, a 1-shard service is bit-identical to a bare
+// OnlineSequencer (the randomized equivalence tests assert this), so the
+// facade costs nothing when sharding is not wanted. A bare sequencer owns
+// its engine and takes up a re-announce at its next call; a service
 // takes it up at the install.
 //
 // ── Live reconfiguration (RCU-style epoch swap) ─────────────────────────
@@ -76,7 +65,7 @@
 // joining clients — without a restart and without dropping traffic:
 //
 //   announce / expect_client ─► request_reconfig ─► [prime off-thread]
-//        ─► try_install_reconfig ─► quiesce + swap ─► resume
+//        ─► try_install_reconfig ─► swap ─► resume
 //
 //  * request_reconfig starts (or notes, if one is running) a primer
 //    thread that derives a successor of the live engine against the
@@ -86,22 +75,17 @@
 //    path; the live epoch keeps serving from the old engine meanwhile.
 //    A torn prime (an announce landing mid-build) is detected via the
 //    generation recorded at build start and simply derived again.
-//  * try_install_reconfig is the quiesce point: under the control lock
-//    every worker applies every op enqueued before the install command
-//    (a bounded pass — sustained ingest cannot defer the swap) and
-//    rebinds its shard to the staged engine on its own thread
-//    (Cmd::kRebind); shards populated
-//    for the first time get sequencers + workers; then the new topology
-//    (routes, engine, primed generation, epoch counter) is published
-//    under the topology lock. Sessions opened in the old epoch stay
-//    valid — they revalidate by generation on next use.
+//  * try_install_reconfig is the swap: every shard rebinds to the staged
+//    engine, shards populated for the first time get sequencers, then the
+//    new topology (routes, engine, primed generation, epoch counter) is
+//    published under the topology lock. Sessions opened in the old epoch
+//    stay valid — they revalidate by generation on next use.
 //  * reconfigure() is the blocking convenience loop (prime + install
 //    until the service has caught up with the registry); tests and
 //    sequential oracles use it for deterministic epoch boundaries.
 //  * close_session / retirement: a departed client is removed from its
-//    shard's completeness-gate frontier (FIFO-ordered through its ingest
-//    lane in threaded mode) so the gate stops waiting for it; a later
-//    submit from the same client revives it.
+//    shard's completeness-gate frontier so the gate stops waiting for it;
+//    a later submit from the same client revives it.
 #pragma once
 
 #include <atomic>
@@ -197,13 +181,7 @@ struct ServiceConfig {
   std::uint32_t shard_count{1};
   /// nullptr → RangeRouter over the expected clients' id span.
   std::shared_ptr<const KeyRouter> router{};
-  /// One worker thread per populated shard; see the file header.
-  bool worker_threads{false};
   DrainPolicy drain_policy{DrainPolicy::kShardLocal};
-  /// Per-session SPSC ingest ring capacity (threaded mode; rounded up to
-  /// a power of two). A full ring backpressures the producer (it spins
-  /// with yields until the worker catches up).
-  std::size_t ingest_ring_capacity{1024};
 
   ServiceConfig& with_online(OnlineConfig config) {
     online = config;
@@ -223,10 +201,6 @@ struct ServiceConfig {
   }
   ServiceConfig& with_p_safe(double p_safe) {
     online.p_safe = p_safe;
-    return *this;
-  }
-  ServiceConfig& with_worker_threads(bool enabled = true) {
-    worker_threads = enabled;
     return *this;
   }
   ServiceConfig& with_drain_policy(DrainPolicy policy) {
@@ -267,47 +241,30 @@ class CallbackSink final : public EmissionSink {
 };
 
 class FairOrderingService {
-  // Threaded-mode internals, defined in service.cpp. Declared up front so
-  // the nested Session can hold a lane pointer.
-  struct IngestLane;
-  struct ShardWorker;
-  struct Threading;
-
  public:
-  /// Per-connection handle bound to its client's shard at open. In
-  /// sequential mode submit/heartbeat forward straight to the shard
-  /// sequencer's session (no routing, no hashing per message); in
-  /// threaded mode they enqueue onto the session's SPSC ring and return
-  /// (the shard worker applies them). A session handle must be driven by
-  /// one thread at a time (it is the ring's single producer); distinct
-  /// sessions are free to live on distinct threads.
+  /// Per-connection handle bound to its client's shard at open:
+  /// submit/heartbeat forward straight to the shard sequencer's session
+  /// (no routing, no hashing per message). Session calls are ingest, so
+  /// callers serialize them with every other service call.
   class Session {
    public:
     Session() = default;
 
-    void submit(TimePoint stamp, MessageId id, TimePoint now);
+    void submit(TimePoint stamp, MessageId id, TimePoint now) {
+      inner_.submit(stamp, id, now);
+    }
     /// Batched submit; arrivals must be non-decreasing within the span
     /// (per-session FIFO) but are exempt from the cross-session arrival
     /// ordering submit() asserts — batches accumulated per session
     /// interleave with other sessions' traffic by construction, and
     /// per-shard emissions are ingest-order-independent between polls
     /// (see OnlineSequencer::Session::submit_relaxed).
-    void submit_batch(std::span<const Submission> items);
-    void heartbeat(TimePoint local_stamp, TimePoint now);
-
-    /// Nonblocking submit_batch for event-driven front-ends: applies (or
-    /// enqueues) a PREFIX of `items` and returns its length. Sequential
-    /// mode accepts everything (capacity there is the ingest lock, which
-    /// the caller already arbitrates); threaded mode stops at the first
-    /// op the session's full ring rejects, so the caller can hold the
-    /// remainder and stop reading its socket — backpressure instead of
-    /// the spinning push() performs.
-    [[nodiscard]] std::size_t try_submit_batch(
-        std::span<const Submission> items);
-
-    /// Nonblocking heartbeat: false when the session's ring is full (the
-    /// caller retries later; heartbeats are idempotent in effect).
-    [[nodiscard]] bool try_heartbeat(TimePoint local_stamp, TimePoint now);
+    void submit_batch(std::span<const Submission> items) {
+      inner_.submit_batch_relaxed(items);
+    }
+    void heartbeat(TimePoint local_stamp, TimePoint now) {
+      inner_.heartbeat(local_stamp, now);
+    }
 
     [[nodiscard]] ClientId client() const { return client_; }
     [[nodiscard]] std::uint32_t shard() const { return shard_; }
@@ -315,34 +272,32 @@ class FairOrderingService {
    private:
     friend class FairOrderingService;
 
-    OnlineSequencer::Session inner_;  // sequential mode
-    IngestLane* lane_{nullptr};       // threaded mode (owned by the service)
+    OnlineSequencer::Session inner_;
     ClientId client_{};
     std::uint32_t shard_{0};
   };
 
   /// The registry must cover every expected client and outlive the
   /// service. Shards with no routed clients are simply absent (their
-  /// index stays valid; they emit nothing). With worker_threads the
-  /// workers start here and stop in the destructor.
+  /// index stays valid; they emit nothing).
   FairOrderingService(const ClientRegistry& registry,
                       std::vector<ClientId> expected_clients,
                       ServiceConfig config = {});
+  /// Joins a running primer.
   ~FairOrderingService();
 
   FairOrderingService(const FairOrderingService&) = delete;
   FairOrderingService& operator=(const FairOrderingService&) = delete;
 
   /// Opens an ingest handle for `client`; the one place routing happens.
-  /// Thread-safe in threaded mode (sessions may be opened while traffic
-  /// flows). An unknown client is a precondition failure — external
-  /// callers with peer-controlled ids should use try_open_session.
+  /// An unknown client is a precondition failure — external callers with
+  /// peer-controlled ids should use try_open_session.
   [[nodiscard]] Session open_session(ClientId client);
 
   /// Non-aborting open_session for connection front-ends: returns nullopt
   /// (and the reason via `error`) instead of failing a precondition on
-  /// unknown clients, and detects a registry that moved on after a
-  /// threaded prime (OpenError::kRegistryChanged).
+  /// unknown clients, and reports a client queued to join at the next
+  /// install (OpenError::kRegistryChanged).
   [[nodiscard]] std::optional<Session> try_open_session(
       ClientId client, OpenError* error = nullptr);
 
@@ -357,7 +312,8 @@ class FairOrderingService {
   }
 
   // ── Live reconfiguration ────────────────────────────────────────────
-  // See the file-header section. All of these are thread-safe.
+  // See the file-header section. expect_client, reconfig_pending and
+  // request_reconfig are thread-safe; the install is not.
 
   /// Queues `client` (which must already be announced in the registry)
   /// to join the service at the next reconfig install. Idempotent; a
@@ -373,11 +329,10 @@ class FairOrderingService {
   /// targeting (callers can poll primed_generation() against it).
   std::uint64_t request_reconfig();
 
-  /// Installs the staged epoch if the primer has finished: quiesces every
-  /// worker, rebinds shards to the new engine, publishes the new
-  /// topology. Returns true on install; false when nothing was staged,
-  /// the stage was torn (a re-prime is kicked off), or no reconfig is
-  /// pending.
+  /// Installs the staged epoch if the primer has finished: rebinds shards
+  /// to the new engine and publishes the new topology. Returns true on
+  /// install; false when nothing was staged, the stage was torn (a
+  /// re-prime is kicked off), or no reconfig is pending.
   bool try_install_reconfig();
 
   /// Blocking convenience: prime + install until the service has caught
@@ -391,19 +346,14 @@ class FairOrderingService {
   }
 
   /// Retires the session's client from its shard's completeness gate: the
-  /// gate stops waiting for the client immediately (FIFO-ordered through
-  /// the session's ingest lane in threaded mode, so ops already enqueued
-  /// land first). The handle must not be used afterwards; a later
-  /// open_session + submit for the same client revives it.
+  /// gate stops waiting for the client immediately. The handle must not
+  /// be used afterwards; a later open_session + submit for the same
+  /// client revives it.
   void close_session(Session& session);
 
   /// Drains every shard's safe batches into `sink` (shard-tagged; order
   /// per the configured DrainPolicy). Returns the number of batches
-  /// handed to the sink by this call. In threaded mode this is a
-  /// synchronous command: every op enqueued (by this thread, or
-  /// happening-before this call) is applied first, the emission attempt
-  /// runs at exactly `now` on each worker, and the records stream to the
-  /// sink on the calling thread.
+  /// handed to the sink by this call.
   std::size_t poll(TimePoint now, EmissionSink& sink);
   /// Callback overload: fn(EmissionRecord&&, std::uint32_t shard).
   /// Constrained so EmissionSink implementations always take the sink
@@ -427,16 +377,10 @@ class FairOrderingService {
     return flush(now, static_cast<EmissionSink&>(sink));
   }
 
-  /// Barrier: blocks until every worker has applied every op enqueued
-  /// before the call (no-op in sequential mode). After it returns, state
-  /// accessors reflect everything submitted before the call; ops racing
-  /// in from concurrent producers may still be in flight.
-  void quiesce();
-
   /// Earliest next_safe_time across shards (infinite future when all
-  /// buffers are empty) — the next instant a poll could emit. Threaded
-  /// mode: quiesces first. Does not account for records the global merge
-  /// is holding back (those are already emitted, merely withheld).
+  /// buffers are empty) — the next instant a poll could emit. Does not
+  /// account for records the global merge is holding back (those are
+  /// already emitted, merely withheld).
   [[nodiscard]] TimePoint next_safe_time() const;
 
   /// One shard's own frontier — the same value the aggregate minimizes
@@ -444,15 +388,13 @@ class FairOrderingService {
   /// wire as its SafeTimeAnnounce, leaving the merge tier to recompute
   /// min over its live peers. Infinite future for an absent (never
   /// populated) shard — an empty buffer gates nothing, exactly as in the
-  /// in-process merge. Precondition: `shard` < shard_count(). Threaded
-  /// mode: quiesces first, then reads the ack-time snapshot.
+  /// in-process merge. Precondition: `shard` < shard_count().
   [[nodiscard]] TimePoint next_safe_time(std::uint32_t shard) const;
 
   [[nodiscard]] std::size_t pending_count() const;
   [[nodiscard]] std::size_t fairness_violations() const;
   /// Messages inside batches the global merge has emitted but not yet
-  /// released (always 0 under kShardLocal). Serialized like the other
-  /// accessors.
+  /// released (always 0 under kShardLocal).
   [[nodiscard]] std::size_t held_back_count() const;
 
   [[nodiscard]] std::uint32_t shard_count() const {
@@ -461,39 +403,28 @@ class FairOrderingService {
   /// Shard assignment of `client` (hash lookup; cold path). Thread-safe.
   [[nodiscard]] std::uint32_t shard_of(ClientId client) const;
   /// Direct access to a shard's sequencer (diagnostics, tests).
-  /// Precondition: the shard exists (some client routed to it). In
-  /// threaded mode, quiesce() first and do not touch concurrently with
-  /// live producers.
+  /// Precondition: the shard exists (some client routed to it).
   [[nodiscard]] const OnlineSequencer& shard(std::uint32_t index) const;
   [[nodiscard]] OnlineSequencer& shard(std::uint32_t index);
+  /// Thread-safe.
   [[nodiscard]] bool has_shard(std::uint32_t index) const;
-  [[nodiscard]] bool threaded() const { return threading_ != nullptr; }
 
   /// The live epoch's engine. Do not hold the reference across a reconfig
-  /// install (the epoch swap retires it).
+  /// install (the epoch swap retires it). Thread-safe.
   [[nodiscard]] const PrecedingEngine& engine() const;
   [[nodiscard]] const KeyRouter& router() const { return *router_; }
   [[nodiscard]] const ClientRegistry& registry() const { return registry_; }
 
  private:
-  /// Sequential-mode drain core (poll/flush share it).
-  std::size_t drain_sequential(TimePoint now, bool flush_all,
-                               EmissionSink& sink);
-  /// Threaded-mode drain core: broadcast the command, await acks, stream
-  /// the emission queues.
-  std::size_t drain_threaded(TimePoint now, bool flush_all,
-                             EmissionSink& sink);
-  /// Releases held-back records (kGlobalMerge) whose safe_time has been
-  /// passed by `min_next_safe`; everything when `release_all`.
-  std::size_t release_merged(TimePoint min_next_safe, bool release_all,
-                             EmissionSink& sink);
+  /// The drain core poll and flush share.
+  std::size_t drain(TimePoint now, bool flush_all, EmissionSink& sink);
 
   /// Launches the off-thread primer. Requires reconfig_.mutex held and no
   /// primer currently running (reconfig_.priming false).
   void start_prime_locked();
-  /// Quiesce + swap: rebinds every shard (worker-side in threaded mode),
-  /// creates shards/workers for first-time-populated partitions, then
-  /// publishes routes, engine, generation, and epoch.
+  /// The swap: rebinds every shard, creates shards for first-time-
+  /// populated partitions, then publishes routes, engine, generation,
+  /// and epoch.
   void install_staged(std::shared_ptr<const PrecedingEngine> staged,
                       std::vector<ClientId> joins);
   /// Steals and joins the primer thread (never call holding
@@ -524,16 +455,12 @@ class FairOrderingService {
   std::vector<std::unique_ptr<OnlineSequencer>> shards_;
   std::unordered_map<ClientId, std::uint32_t> shard_by_client_;
   DrainPolicy drain_policy_{DrainPolicy::kShardLocal};
-  std::size_t ingest_ring_capacity_{1024};
   std::atomic<std::uint64_t> primed_generation_{0};
   std::atomic<std::uint64_t> epoch_{0};
   Reconfig reconfig_;
   /// kGlobalMerge holdback: emitted records not yet released, keyed by
   /// (safe_time, shard, rank).
   MergeHoldback<EmissionRecord> holdback_;
-  /// Threaded-mode state (workers, rings, mailboxes); null in sequential
-  /// mode.
-  std::unique_ptr<Threading> threading_;
 };
 
 }  // namespace tommy::core

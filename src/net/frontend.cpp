@@ -191,7 +191,7 @@ const char* to_string(WireError error) {
 
 Connection::Connection(core::ClientRegistry& registry,
                        core::FairOrderingService& service,
-                       FrontendConfig config, std::mutex* ingest_mutex)
+                       FrontendConfig config, std::mutex& ingest_mutex)
     : registry_(registry),
       service_(service),
       config_(normalized(std::move(config))),
@@ -215,21 +215,16 @@ bool Connection::handle_announcement(
   // Order re-announce effects after everything already streamed.
   apply_pending();
   {
-    std::unique_lock<std::mutex> lock;
-    if (ingest_mutex_ != nullptr) {
-      lock = std::unique_lock<std::mutex>(*ingest_mutex_);
-    }
+    std::lock_guard<std::mutex> lock(ingest_mutex_);
     // Idempotent: an identical re-send changes nothing and keeps the
-    // generation stable. A changed summary bumps it — and no longer
-    // freezes a threaded service: the epoch-swap machinery below primes
-    // a fresh engine off-thread and installs it at a quiesce point while
-    // in-flight sessions keep running against the old epoch.
+    // generation stable. A changed summary bumps it, and the epoch-swap
+    // machinery below primes a fresh engine off-thread while in-flight
+    // sessions keep running against the old epoch.
     registry_.announce(announcement.client, announcement.summary);
     if (!known) service_.expect_client(announcement.client);
     if (service_.reconfig_pending()) {
-      // Prime off-thread, install opportunistically. Threaded installs
-      // quiesce the workers internally; sequential installs are already
-      // serialized by ingest_mutex_. A not-yet-staged prime just returns
+      // Prime off-thread, install opportunistically (the install is
+      // serialized by ingest_mutex_). A not-yet-staged prime just returns
       // false here — a later announce retry (or pump) installs it.
       service_.request_reconfig();
       service_.try_install_reconfig();
@@ -273,51 +268,34 @@ void Connection::on_peer_eof() {
   if (!handshaken() || failed()) return;
   // FIFO: everything the peer streamed lands before its departure does.
   apply_pending();
-  std::unique_lock<std::mutex> lock;
-  if (ingest_mutex_ != nullptr) {
-    lock = std::unique_lock<std::mutex>(*ingest_mutex_);
-  }
+  std::lock_guard<std::mutex> lock(ingest_mutex_);
   service_.close_session(session_);
 }
 
 void Connection::apply_pending() {
   if (pending_.empty()) return;
-  std::unique_lock<std::mutex> lock;
-  if (ingest_mutex_ != nullptr) {
-    lock = std::unique_lock<std::mutex>(*ingest_mutex_);
-  }
+  std::lock_guard<std::mutex> lock(ingest_mutex_);
   session_.submit_batch(std::span<const core::Submission>(pending_));
   pending_.clear();
 }
 
 bool Connection::try_apply_pending() {
   if (pending_.empty()) return true;
-  if (ingest_mutex_ != nullptr) {
-    // Sequential service: the only obstacle is the ingest lock (its
-    // buffers are unbounded). Still contended after the bounded spin
-    // means a pump holds it for real — back off, retry on the next tick.
-    std::unique_lock<std::mutex> lock = lock_ingest_bounded(*ingest_mutex_);
-    if (!lock.owns_lock()) return false;
-    session_.submit_batch(std::span<const core::Submission>(pending_));
-    pending_.clear();
-    return true;
-  }
-  // Threaded service: push the prefix the session ring accepts; a full
-  // ring is THE backpressure signal (the caller stops reading and the
-  // socket fills).
-  const std::size_t accepted =
-      session_.try_submit_batch(std::span<const core::Submission>(pending_));
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(accepted));
-  return pending_.empty();
+  // The only obstacle is the ingest lock (the service's buffers are
+  // unbounded). Still contended after the bounded spin means a pump
+  // holds it for real — back off, retry on the next tick.
+  std::unique_lock<std::mutex> lock = lock_ingest_bounded(ingest_mutex_);
+  if (!lock.owns_lock()) return false;
+  session_.submit_batch(std::span<const core::Submission>(pending_));
+  pending_.clear();
+  return true;
 }
 
 Connection::TryOutcome Connection::try_dispatch(const WireMessage& message) {
   if (const auto* announcement =
           std::get_if<DistributionAnnouncement>(&message)) {
-    // The handshake path keeps the blocking serialization (registry and
-    // epoch machinery): it is rare, bounded, and not worth a lock-free
-    // variant.
+    // The handshake path takes the ingest lock outright (registry and
+    // epoch machinery): it is rare and bounded, so it needs no stall path.
     return handle_announcement(*announcement) ? TryOutcome::kOk
                                               : TryOutcome::kFail;
   }
@@ -347,22 +325,15 @@ Connection::TryOutcome Connection::try_dispatch(const WireMessage& message) {
       return TryOutcome::kFail;
     }
     const TimePoint now = config_.arrival_clock(message);
-    if (ingest_mutex_ != nullptr) {
-      std::unique_lock<std::mutex> lock = lock_ingest_bounded(*ingest_mutex_);
-      if (!lock.owns_lock()) return TryOutcome::kRetryStall;
-      if (!pending_.empty()) {
-        // FIFO: buffered submits land before the heartbeat, under the
-        // same lock acquisition.
-        session_.submit_batch(std::span<const core::Submission>(pending_));
-        pending_.clear();
-      }
-      session_.heartbeat(heartbeat->local_stamp, now);
-    } else {
-      if (!try_apply_pending()) return TryOutcome::kRetryStall;
-      if (!session_.try_heartbeat(heartbeat->local_stamp, now)) {
-        return TryOutcome::kRetryStall;
-      }
+    std::unique_lock<std::mutex> lock = lock_ingest_bounded(ingest_mutex_);
+    if (!lock.owns_lock()) return TryOutcome::kRetryStall;
+    if (!pending_.empty()) {
+      // FIFO: buffered submits land before the heartbeat, under the same
+      // lock acquisition.
+      session_.submit_batch(std::span<const core::Submission>(pending_));
+      pending_.clear();
     }
+    session_.heartbeat(heartbeat->local_stamp, now);
     heartbeats_in_.fetch_add(1, std::memory_order_relaxed);
     return TryOutcome::kOk;
   }
@@ -442,10 +413,6 @@ std::uint64_t FrameFrontend::add_connection(
     std::shared_ptr<ByteStream> stream) {
   TOMMY_EXPECTS(stream != nullptr);
   reap();
-  // Threaded services serialize nothing up front: each connection's
-  // poller thread is its session ring's single producer. Sequential
-  // services get all ingest and polls serialized behind ingest_mutex_.
-  std::mutex* ingest_mutex = service_.threaded() ? nullptr : &ingest_mutex_;
   std::lock_guard<std::mutex> lock(conns_mutex_);
   std::uint64_t id;
   if (free_ids_.empty()) {
@@ -458,7 +425,7 @@ std::uint64_t FrameFrontend::add_connection(
     free_ids_.pop_back();
   }
   auto conn = std::make_shared<Conn>(std::move(stream), registry_, service_,
-                                     config_, ingest_mutex);
+                                     config_, ingest_mutex_);
   conns_.emplace(id, conn);
   retired_.accepted++;  // folded into totals() as "ever adopted"
   // Registers with a poller thread (conns_mutex_ held: poller threads
@@ -619,8 +586,7 @@ std::size_t FrameFrontend::pump(TimePoint now, const PumpOptions& options) {
 std::size_t FrameFrontend::drain_locked(TimePoint now,
                                         const PumpOptions& options,
                                         core::EmissionSink& sink) {
-  std::unique_lock<std::mutex> lock;
-  if (!service_.threaded()) lock = std::unique_lock<std::mutex>(ingest_mutex_);
+  std::lock_guard<std::mutex> lock(ingest_mutex_);
   // Liveness for reconfigs nobody retries (a handshaken client's mutated
   // re-announce): each pump gives a staged epoch a chance to install.
   if (service_.reconfig_pending()) {
@@ -636,12 +602,11 @@ std::size_t FrameFrontend::drain_locked(TimePoint now,
 }
 
 void FrameFrontend::reconfigure() {
-  // Pollers stall on the ingest lock for the duration of the swap in
-  // sequential mode — exactly the serialization the sequential service
-  // requires. The primer thread never touches this lock, so the
-  // blocking join inside service_.reconfigure() cannot deadlock.
-  std::unique_lock<std::mutex> lock;
-  if (!service_.threaded()) lock = std::unique_lock<std::mutex>(ingest_mutex_);
+  // Pollers stall on the ingest lock for the duration of the swap —
+  // exactly the serialization the service requires. The primer thread
+  // never touches this lock, so the blocking join inside
+  // service_.reconfigure() cannot deadlock.
+  std::lock_guard<std::mutex> lock(ingest_mutex_);
   service_.reconfigure();
 }
 

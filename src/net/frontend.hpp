@@ -26,11 +26,10 @@
 //    WireError, never a crash.
 //  * `FrameFrontend` registers every adopted stream with an epoll
 //    EventLoop of M poller threads (poller_frontend.cpp). A connection's
-//    callbacks all run on one poller thread, which is therefore the
-//    session's single SPSC producer in threaded mode. The outbound half
-//    is `pump(now)`: it polls the service and queues each emitted batch
-//    as one BatchEmission frame on every live connection's bounded
-//    egress, flushed on writability edges.
+//    callbacks all run on one poller thread. The outbound half is
+//    `pump(now)`: it polls the service and queues each emitted batch as
+//    one BatchEmission frame on every live connection's bounded egress,
+//    flushed on writability edges.
 //
 // Arrival stamping: wire messages carry the client's local stamp but not
 // the sequencer-clock arrival (`now`) the online machinery needs; the
@@ -41,11 +40,11 @@
 // deterministic function of the message so a frame-driven run is
 // bit-identical to a direct-drive run.
 //
-// Concurrency: with a threaded service, pollers are lock-free producers
-// onto their session rings and need no front-end serialization. With a
-// sequential service, the front-end serializes all ingest and polls
-// behind one mutex; a poller that cannot take it within a bounded spin
-// stops reading that socket and retries on a tick (backpressure).
+// Concurrency: the service is sequential (its callers serialize ingest,
+// polls and installs), so the front-end serializes every session call,
+// registry update, pump and install behind one ingest mutex; a poller
+// that cannot take it within a bounded spin stops reading that socket
+// and retries on a tick (backpressure).
 #pragma once
 
 #include <atomic>
@@ -275,9 +274,8 @@ struct PumpOptions {
   /// instead of poll.
   bool flush{false};
   /// When non-null, receives the service's next_safe_time AFTER the
-  /// drain, read under the SAME sequential-mode ingest lock acquisition
-  /// as the poll itself (what a shard node's SafeTimeAnnounce must
-  /// carry).
+  /// drain, read under the SAME ingest lock acquisition as the poll
+  /// itself (what a shard node's SafeTimeAnnounce must carry).
   TimePoint* next_safe_after{nullptr};
 };
 
@@ -329,23 +327,20 @@ struct FrontendTotals {
 class Connection {
  public:
   /// `ingest_mutex` serializes session calls and registry updates against
-  /// other connections and polls; pass nullptr when the service is
-  /// threaded (sessions are their own single-producer lanes) or when only
-  /// one thread drives everything.
+  /// other connections, polls and installs; every Connection over one
+  /// service shares it.
   Connection(core::ClientRegistry& registry,
              core::FairOrderingService& service, FrontendConfig config,
-             std::mutex* ingest_mutex = nullptr);
+             std::mutex& ingest_mutex);
 
   /// Outcome of one drive step.
   enum class DriveStatus : std::uint8_t {
-    /// Everything decoded so far has been applied (or enqueued, in
-    /// threaded mode) — keep reading.
+    /// Everything decoded so far has been applied — keep reading.
     kReady,
-    /// The service could not absorb more right now (session ring full,
-    /// or the sequential ingest lock contended): STOP READING this
-    /// stream and retry drive() shortly. This is the backpressure
-    /// signal — an unread socket fills its kernel buffers and TCP flow
-    /// control reaches the client.
+    /// The service could not absorb more right now (the ingest lock
+    /// stayed contended): STOP READING this stream and retry drive()
+    /// shortly. This is the backpressure signal — an unread socket fills
+    /// its kernel buffers and TCP flow control reaches the client.
     kStalled,
     /// The connection failed (protocol or decode error) — tear it down.
     kFailed,
@@ -421,12 +416,11 @@ class Connection {
     kFail,
   };
 
-  /// Nonblocking dispatch: never blocks on the session ring or the
-  /// sequential ingest lock (the handshake path excepted — rare,
-  /// bounded).
+  /// Nonblocking dispatch: never blocks on the ingest lock (the
+  /// handshake path excepted — rare, bounded).
   TryOutcome try_dispatch(const WireMessage& message);
-  /// Nonblocking apply_pending: applies whatever prefix the service
-  /// accepts; true when pending_ fully drained.
+  /// Nonblocking apply_pending: applies pending_ if the ingest lock is
+  /// won within the bounded spin; true when pending_ is empty after.
   bool try_apply_pending();
   bool handle_announcement(const DistributionAnnouncement& announcement);
   void queue_outbound(const WireMessage& message);
@@ -438,7 +432,7 @@ class Connection {
   core::ClientRegistry& registry_;
   core::FairOrderingService& service_;
   FrontendConfig config_;
-  std::mutex* ingest_mutex_;
+  std::mutex& ingest_mutex_;
 
   FrameDecoder decoder_;
   core::FairOrderingService::Session session_;
@@ -497,14 +491,14 @@ class FrameFrontend {
   std::uint64_t add_connection(std::shared_ptr<ByteStream> stream);
 
   /// THE drain entry point: polls (or, with options.flush, flushes) the
-  /// service at `now` under the sequential-mode ingest lock, with the
-  /// staged-epoch install nudge. Null options.sink broadcasts every
+  /// service at `now` under the ingest lock, with the staged-epoch
+  /// install nudge. Null options.sink broadcasts every
   /// emitted batch as an encoded BatchEmission frame onto the bounded
   /// egress of every connection whose writes still succeed (reaping dead
   /// peers first, so a removed peer never receives a broadcast); a
   /// non-null sink consumes emissions in-process instead (no broadcast,
   /// no reap) — race-free against live pollers, which a direct
-  /// service_.poll() is NOT for sequential services.
+  /// service_.poll() is NOT.
   /// options.next_safe_after, when set, receives the post-drain frontier
   /// read under the SAME lock acquisition as the poll (no ingest can
   /// interleave — what a shard node's SafeTimeAnnounce must carry).
@@ -525,8 +519,8 @@ class FrameFrontend {
   /// Drives any pending reconfiguration to completion (blocking —
   /// joins the primer) under the same serialization as the wire
   /// handlers. The safe way to force an epoch swap from outside while
-  /// connections are live; a direct service_.reconfigure() is only safe
-  /// against a threaded service.
+  /// connections are live; a direct service_.reconfigure() races the
+  /// pollers.
   void reconfigure();
 
   /// Removes every dead connection: done AND (it failed, its broadcast
@@ -554,8 +548,7 @@ class FrameFrontend {
   /// Waits until every connection is done, without removing anything.
   /// Callers arrange EOF first (peers close_write / streams shut down),
   /// otherwise this blocks; after it returns, everything the peers sent
-  /// has been applied to the service (threaded mode: enqueued — a
-  /// subsequent poll/quiesce drains it).
+  /// has been applied to the service.
   void join_readers();
 
   /// Live connections: registered, and not merely awaiting reap. (A
@@ -614,7 +607,7 @@ class FrameFrontend {
 
     Conn(std::shared_ptr<ByteStream> s, core::ClientRegistry& registry,
          core::FairOrderingService& service, FrontendConfig config,
-         std::mutex* ingest_mutex)
+         std::mutex& ingest_mutex)
         : stream(std::move(s)),
           machine(registry, service, std::move(config), ingest_mutex) {}
   };
@@ -630,9 +623,9 @@ class FrameFrontend {
   };
 
   /// The locked core of pump, for the broadcast sink and a caller's
-  /// sink alike: sequential-mode ingest lock, staged-epoch install
-  /// nudge, then one service drain. options.next_safe_after, when set,
-  /// is read before the lock drops.
+  /// sink alike: ingest lock, staged-epoch install nudge, then one
+  /// service drain. options.next_safe_after, when set, is read before
+  /// the lock drops.
   std::size_t drain_locked(TimePoint now, const PumpOptions& options,
                            core::EmissionSink& sink);
 
@@ -680,7 +673,7 @@ class FrameFrontend {
   core::FairOrderingService& service_;
   FrontendConfig config_;
 
-  /// Serializes sequential-mode ingest/polls (unused when threaded).
+  /// Serializes every connection's ingest with pumps and installs.
   std::mutex ingest_mutex_;
   mutable std::mutex conns_mutex_;
   /// Registered connections by id. shared_ptr: broadcast and reap hold

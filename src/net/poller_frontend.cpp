@@ -6,7 +6,7 @@
 //
 //   readable edge ──► drain_readable: try_read until kWouldBlock,
 //        │            each chunk through Connection::drive (nonblocking)
-//        │                 │ kStalled (ring full / ingest lock busy)
+//        │                 │ kStalled (ingest lock busy)
 //        │                 ▼
 //        │            paused = true, request_tick ──► on_loop_tick:
 //        │            drive() retry; kReady resumes the read drain

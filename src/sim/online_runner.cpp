@@ -45,7 +45,6 @@ OnlineRunResult run_online(const Population& population,
   service_config.with_online(config.sequencer)
       .with_shards(config.shard_count)
       .with_router(config.router)
-      .with_worker_threads(config.worker_threads)
       .with_drain_policy(config.drain_policy);
   core::FairOrderingService service(registry, population.ids(),
                                     service_config);

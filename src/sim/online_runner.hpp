@@ -27,11 +27,6 @@ struct OnlineRunConfig {
   std::uint32_t shard_count{1};
   /// Optional router override for the service partition.
   std::shared_ptr<const core::KeyRouter> router{};
-  /// Run the service's threaded execution engine (one worker per shard,
-  /// SPSC ingest rings). Emissions are bit-identical to the sequential
-  /// engine — the discrete-event loop is still the single producer — so
-  /// this exercises the threaded plumbing under simulation workloads.
-  bool worker_threads{false};
   /// Emission drain policy for multi-shard runs (kGlobalMerge gives one
   /// total stream gated on min next_safe_time across shards).
   core::DrainPolicy drain_policy{core::DrainPolicy::kShardLocal};

@@ -15,10 +15,9 @@
 //     boundary mid-stream.
 //
 // Each shape is proven on the bare sequencer (fast vs oracle) and then
-// across the service engine configs: the sequential multi-shard service
-// vs one oracle per shard of its partition, threaded workers vs
-// sequential, and kGlobalMerge sequential vs threaded — covering
-// sequential / sharded / threaded / global-merge with the new structure
+// on the service: the multi-shard service vs one oracle per shard of its
+// partition, and the kGlobalMerge drain vs the shard-local record set —
+// covering bare / sharded / global-merge with the new structure
 // everywhere.
 #include <gtest/gtest.h>
 
@@ -302,22 +301,15 @@ TEST(AdversarialEquivalence, ServiceConfigsAllPatterns) {
        {Pattern::kReverseCorrected, Pattern::kInterleavedBursts,
         Pattern::kMidStreamReprime}) {
     SCOPED_TRACE(to_string(pattern));
-    auto config_for = [](bool threaded, DrainPolicy policy) {
+    auto config_for = [](DrainPolicy policy) {
       ServiceConfig config;
       config.with_p_safe(0.99).with_shards(kShards);
-      config.with_worker_threads(threaded).with_drain_policy(policy);
+      config.with_drain_policy(policy);
       return config;
     };
-    auto run = [&](bool threaded, DrainPolicy policy) {
-      Scenario s = make_scenario(pattern, 29u, 6, 1200);
-      FairOrderingService service(s.registry, s.population.ids(),
-                                  config_for(threaded, policy));
-      return drive_service(service, s);
-    };
 
-    // Sequential sharded vs one oracle per shard, bit-identical per shard.
-    const ServiceConfig sequential =
-        config_for(false, DrainPolicy::kShardLocal);
+    // Sharded vs one oracle per shard, bit-identical per shard.
+    const ServiceConfig sequential = config_for(DrainPolicy::kShardLocal);
     Scenario seq_s = make_scenario(pattern, 29u, 6, 1200);
     FairOrderingService seq_service(seq_s.registry, seq_s.population.ids(),
                                     sequential);
@@ -329,25 +321,15 @@ TEST(AdversarialEquivalence, ServiceConfigsAllPatterns) {
     expect_identical_per_shard(seq_fast, drive_service(oracles, oracle_s),
                                kShards, "sequential-vs-oracles");
 
-    // Threaded workers: must match the sequential run per shard.
-    const auto thr_fast = run(true, DrainPolicy::kShardLocal);
-    expect_identical_per_shard(thr_fast, seq_fast, kShards,
-                               "threaded-vs-sequential");
-
-    // Global merge: sequential and threaded must produce the identical
-    // total stream (delivery order included).
-    const auto merge_seq = run(false, DrainPolicy::kGlobalMerge);
-    const auto merge_thr = run(true, DrainPolicy::kGlobalMerge);
-    ASSERT_EQ(merge_seq.size(), merge_thr.size());
+    // Global merge: per shard it is the same record set the shard-local
+    // drain produced (rank order within a shard can differ across
+    // policies — compare rank-aligned).
+    Scenario merge_s = make_scenario(pattern, 29u, 6, 1200);
+    FairOrderingService merge_service(merge_s.registry,
+                                      merge_s.population.ids(),
+                                      config_for(DrainPolicy::kGlobalMerge));
+    const auto merge_seq = drive_service(merge_service, merge_s);
     EXPECT_FALSE(merge_seq.empty());
-    for (std::size_t r = 0; r < merge_seq.size(); ++r) {
-      EXPECT_EQ(merge_seq[r].shard, merge_thr[r].shard);
-      EXPECT_EQ(merge_seq[r].record.batch.rank,
-                merge_thr[r].record.batch.rank);
-    }
-    // And per shard it is the same record set the shard-local drain
-    // produced (rank order within a shard can differ across policies —
-    // compare rank-aligned).
     auto rank_sorted = [](std::vector<Tagged> v) {
       std::stable_sort(v.begin(), v.end(),
                        [](const Tagged& lhs, const Tagged& rhs) {

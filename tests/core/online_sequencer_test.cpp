@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "stats/gaussian.hpp"
 
 namespace tommy::core {
@@ -182,6 +184,40 @@ TEST_F(OnlineSequencerTest, PollIsIdempotentBetweenArrivals) {
   EXPECT_EQ(seq.poll(TimePoint(2.0)).size(), 1u);
   EXPECT_TRUE(seq.poll(TimePoint(2.1)).empty());
   EXPECT_TRUE(seq.poll(TimePoint(3.0)).empty());
+}
+
+TEST_F(OnlineSequencerTest, RetiringAClientKeepsTheGateHeapOrdered) {
+  // retire_client removes a client from the middle of the gate's min-heap
+  // of frontiers; the tail node moved into the hole can be smaller than
+  // its new parent and must sift up. First heartbeats in client order,
+  // stamped 1, 10, 2, 11, 12, 3 and 4 s, leave the heap array as clients
+  // [0..6]; retiring client 3 moves client 6 (frontier ~4 s) under
+  // client 1 (~10 s).
+  std::vector<ClientId> clients;
+  for (std::uint32_t c = 0; c < 7; ++c) {
+    registry_.announce(ClientId(c),
+                       std::make_unique<stats::Gaussian>(0.0, kSigma));
+    clients.push_back(ClientId(c));
+  }
+  OnlineSequencer seq(registry_, clients, config_);
+  const TimePoint arrival(0.5);
+  const double first_stamps[] = {1.0, 10.0, 2.0, 11.0, 12.0, 3.0, 4.0};
+  for (std::uint32_t c = 0; c < 7; ++c) {
+    seq.open_session(ClientId(c)).heartbeat(TimePoint(first_stamps[c]),
+                                            arrival);
+  }
+  seq.retire_client(ClientId(3));
+  for (std::uint32_t c : {0u, 2u, 5u}) {
+    seq.open_session(ClientId(c)).heartbeat(TimePoint(100.0), arrival);
+  }
+  seq.open_session(ClientId(4)).submit(TimePoint(7.0), MessageId(1), arrival);
+
+  // Client 6 has vouched only up to ~4 s, below T_b (~7 s): nothing may
+  // emit. A heap that left client 6 under client 1 would see client 1 at
+  // its root and release the batch.
+  ASSERT_GT(seq.next_safe_time(), TimePoint(4.01));
+  EXPECT_TRUE(seq.poll(TimePoint(8.0)).empty());
+  EXPECT_EQ(seq.pending_count(), 1u);
 }
 
 TEST_F(OnlineSequencerTest, UnknownClientIsRejected) {

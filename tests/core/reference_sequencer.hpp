@@ -61,9 +61,11 @@ class ReferenceSequencer {
     void submit_relaxed(TimePoint stamp, MessageId id, TimePoint now) {
       oracle_->ingest(slot_, stamp, id, now, /*relaxed=*/true);
     }
+    /// Relaxed, like FairOrderingService::Session::submit_batch (the
+    /// surface ShardedReference mirrors).
     void submit_batch(std::span<const Submission> items) {
       for (const Submission& item : items) {
-        submit(item.stamp, item.id, item.arrival);
+        submit_relaxed(item.stamp, item.id, item.arrival);
       }
     }
     void heartbeat(TimePoint local_stamp, TimePoint now) {
@@ -331,6 +333,14 @@ class ShardedReference {
     for (auto& shard : shards_) {
       if (shard) shard->rebind({});
     }
+  }
+
+  [[nodiscard]] std::size_t fairness_violations() const {
+    std::size_t violations = 0;
+    for (const auto& shard : shards_) {
+      if (shard) violations += shard->fairness_violations();
+    }
+    return violations;
   }
 
  private:

@@ -3,12 +3,14 @@
 // joining a running service without a restart, close_session retiring a
 // departed client from the completeness gate, first-time shard
 // population under an install, and — the core guarantee — a service that
-// reconfigures mid-stream staying bit-identical to a sequential oracle
-// performing the same reconfigs at the same workload boundaries.
+// reconfigures mid-stream staying bit-identical to one naive oracle per
+// shard (reference_sequencer.hpp) rebinding at the same workload
+// boundaries.
 #include "core/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -16,6 +18,8 @@
 #include <vector>
 
 #include "stats/gaussian.hpp"
+
+#include "reference_sequencer.hpp"
 
 namespace tommy::core {
 namespace {
@@ -91,9 +95,9 @@ struct Capture {
 /// `base`, each client's run flushed by a heartbeat (run_direct's batch +
 /// heartbeat shape — submit_batch is exempt from the cross-session
 /// arrival-order assertion).
-void feed_phase(std::vector<FairOrderingService::Session>& sessions,
-                double base, int per_client, std::uint64_t id_base,
-                double trailing_heartbeat) {
+template <typename Session>
+void feed_phase(std::vector<Session>& sessions, double base, int per_client,
+                std::uint64_t id_base, double trailing_heartbeat) {
   for (std::uint32_t c = 0; c < sessions.size(); ++c) {
     std::vector<Submission> batch;
     double stamp = base + 1e-5 * c;
@@ -112,8 +116,10 @@ void feed_phase(std::vector<FairOrderingService::Session>& sessions,
 
 // ── Install mechanics ───────────────────────────────────────────────────
 
-void expect_install_catches_up(ServiceConfig config) {
+TEST(ServiceReconfig, InstallCatchesTheGenerationUp) {
   ClientRegistry registry = make_registry(4);
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99);
   FairOrderingService service(registry, ids(4), config);
   const std::uint64_t g0 = registry.generation();
   EXPECT_EQ(service.primed_generation(), g0);
@@ -135,20 +141,7 @@ void expect_install_catches_up(ServiceConfig config) {
   auto session = service.open_session(ClientId(1));
   session.submit(TimePoint(1.0), MessageId(7), TimePoint(1.0) + kDelay);
   session.heartbeat(TimePoint(1.5), TimePoint(1.5) + kDelay);
-  service.quiesce();
   EXPECT_GE(service.pending_count(), 1u);
-}
-
-TEST(ServiceReconfig, SequentialInstallCatchesTheGenerationUp) {
-  ServiceConfig config;
-  config.with_shards(2).with_p_safe(0.99);
-  expect_install_catches_up(config);
-}
-
-TEST(ServiceReconfig, ThreadedInstallCatchesTheGenerationUp) {
-  ServiceConfig config;
-  config.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  expect_install_catches_up(config);
 }
 
 TEST(ServiceReconfig, RepeatedReconfigureIsIdempotent) {
@@ -169,8 +162,10 @@ TEST(ServiceReconfig, RepeatedReconfigureIsIdempotent) {
 
 // ── Joins without restart ───────────────────────────────────────────────
 
-void expect_join_without_restart(ServiceConfig config) {
+TEST(ServiceReconfig, ClientJoinsWithoutRestart) {
   ClientRegistry registry = make_registry(2);
+  ServiceConfig config;
+  config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(2), config);
 
   // Not announced, not expected: unknown.
@@ -200,7 +195,6 @@ void expect_join_without_restart(ServiceConfig config) {
   sessions.push_back(service.open_session(ClientId(1)));
   sessions.push_back(std::move(*joined));
   feed_phase(sessions, 1.0, 8, 0, 1.2);
-  service.quiesce();
   Capture live;
   {
     auto sink = live.sink();
@@ -215,7 +209,6 @@ void expect_join_without_restart(ServiceConfig config) {
     fresh_sessions.push_back(fresh.open_session(ClientId(c)));
   }
   feed_phase(fresh_sessions, 1.0, 8, 0, 1.2);
-  fresh.quiesce();
   Capture scratch;
   {
     auto sink = scratch.sink();
@@ -227,27 +220,14 @@ void expect_join_without_restart(ServiceConfig config) {
   EXPECT_EQ(live.batches, scratch.batches);
 }
 
-TEST(ServiceReconfig, SequentialClientJoinsWithoutRestart) {
-  ServiceConfig config;
-  config.with_p_safe(0.99);
-  expect_join_without_restart(config);
-}
-
-TEST(ServiceReconfig, ThreadedClientJoinsWithoutRestart) {
-  ServiceConfig config;
-  config.with_p_safe(0.99).with_worker_threads();
-  expect_join_without_restart(config);
-}
-
 TEST(ServiceReconfig, InstallPopulatesAPreviouslyEmptyShard) {
   // Client 0 is alone on shard 0 (modulo routing); client 1's join must
-  // create shard 1's sequencer — and, threaded, its worker — at install.
+  // create shard 1's sequencer at install.
   ClientRegistry registry = make_registry(1);
   ServiceConfig config;
   config.with_shards(2)
       .with_router(std::make_shared<ModuloRouter>())
-      .with_p_safe(0.99)
-      .with_worker_threads();
+      .with_p_safe(0.99);
   FairOrderingService service(registry, ids(1), config);
   EXPECT_FALSE(service.has_shard(1));
 
@@ -261,7 +241,6 @@ TEST(ServiceReconfig, InstallPopulatesAPreviouslyEmptyShard) {
   auto session = service.open_session(ClientId(1));
   session.submit(TimePoint(1.0), MessageId(42), TimePoint(1.0) + kDelay);
   session.heartbeat(TimePoint(1.4), TimePoint(1.4) + kDelay);
-  service.quiesce();
   Capture out;
   {
     auto sink = out.sink();
@@ -274,15 +253,16 @@ TEST(ServiceReconfig, InstallPopulatesAPreviouslyEmptyShard) {
 
 // ── Retirement via close_session ────────────────────────────────────────
 
-void expect_retirement_unblocks_the_gate(ServiceConfig config) {
+TEST(ServiceReconfig, CloseSessionRetiresTheClientFromTheGate) {
   ClientRegistry registry = make_registry(2);
+  ServiceConfig config;
+  config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(2), config);
   auto speaking = service.open_session(ClientId(0));
   auto silent = service.open_session(ClientId(1));
 
   speaking.submit(TimePoint(1.0), MessageId(1), TimePoint(1.0) + kDelay);
   speaking.heartbeat(TimePoint(1.5), TimePoint(1.5) + kDelay);
-  service.quiesce();
 
   Capture out;
   {
@@ -295,7 +275,6 @@ void expect_retirement_unblocks_the_gate(ServiceConfig config) {
 
   // Retiring it removes it from the frontier immediately.
   service.close_session(silent);
-  service.quiesce();
   {
     auto sink = out.sink();
     service.poll(TimePoint(2.1), sink);
@@ -303,33 +282,20 @@ void expect_retirement_unblocks_the_gate(ServiceConfig config) {
   EXPECT_EQ(out.message_count(), 1u);
 }
 
-TEST(ServiceReconfig, SequentialCloseSessionRetiresTheClientFromTheGate) {
-  ServiceConfig config;
-  config.with_p_safe(0.99);
-  expect_retirement_unblocks_the_gate(config);
-}
-
-TEST(ServiceReconfig, ThreadedCloseSessionRetiresTheClientFromTheGate) {
-  ServiceConfig config;
-  config.with_p_safe(0.99).with_worker_threads();
-  expect_retirement_unblocks_the_gate(config);
-}
-
 // ── Mid-stream equivalence ──────────────────────────────────────────────
 
 /// Half the workload, then a mutating re-announce + epoch swap while the
-/// original sessions stay open, then the other half. Every config runs
-/// the exact same call sequence, so captures must match bit-for-bit.
-std::vector<CapturedBatch> run_with_midstream_reconfig(ServiceConfig config) {
-  ClientRegistry registry = make_registry(4);
-  FairOrderingService service(registry, ids(4), config);
-  std::vector<FairOrderingService::Session> sessions;
+/// original sessions stay open, then the other half, through `service`:
+/// a FairOrderingService over `registry`, or the ShardedReference of one.
+template <typename Service>
+std::vector<CapturedBatch> run_with_midstream_reconfig(
+    ClientRegistry& registry, Service& service) {
+  std::vector<typename Service::Session> sessions;
   for (std::uint32_t c = 0; c < 4; ++c) {
     sessions.push_back(service.open_session(ClientId(c)));
   }
 
   feed_phase(sessions, 1.0, 10, 0, 1.02);
-  service.quiesce();
   Capture out;
   {
     auto sink = out.sink();
@@ -343,7 +309,6 @@ std::vector<CapturedBatch> run_with_midstream_reconfig(ServiceConfig config) {
   // The pre-swap session handles keep running against the new epoch
   // (revalidated by generation, not erroring).
   feed_phase(sessions, 1.02, 10, 100000, 1.2);
-  service.quiesce();
   {
     auto sink = out.sink();
     service.poll(TimePoint(1.04), sink);
@@ -353,24 +318,34 @@ std::vector<CapturedBatch> run_with_midstream_reconfig(ServiceConfig config) {
   return out.batches;
 }
 
-TEST(ServiceReconfig, MidStreamSwapMatchesTheSequentialOracle) {
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99);
-  const auto oracle = run_with_midstream_reconfig(sequential);
-  ASSERT_FALSE(oracle.empty());
+TEST(ServiceReconfig, MidStreamSwapMatchesTheShardedOracle) {
+  for (const DrainPolicy policy :
+       {DrainPolicy::kShardLocal, DrainPolicy::kGlobalMerge}) {
+    const bool merged = policy == DrainPolicy::kGlobalMerge;
+    SCOPED_TRACE(merged ? "global merge" : "shard-local");
+    ServiceConfig config;
+    config.with_shards(2).with_p_safe(0.99).with_drain_policy(policy);
+    ClientRegistry registry = make_registry(4);
+    FairOrderingService service(registry, ids(4), config);
+    auto fast = run_with_midstream_reconfig(registry, service);
+    ASSERT_FALSE(fast.empty());
 
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  EXPECT_EQ(run_with_midstream_reconfig(threaded), oracle);
-
-  ServiceConfig merged;
-  merged.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(DrainPolicy::kGlobalMerge);
-  const auto merged_run = run_with_midstream_reconfig(merged);
-  ServiceConfig merged_oracle;
-  merged_oracle.with_shards(2).with_p_safe(0.99).with_drain_policy(
-      DrainPolicy::kGlobalMerge);
-  EXPECT_EQ(merged_run, run_with_midstream_reconfig(merged_oracle));
+    ClientRegistry oracle_registry = make_registry(4);
+    ShardedReference oracle(service, oracle_registry, ids(4), config.online);
+    auto slow = run_with_midstream_reconfig(oracle_registry, oracle);
+    if (merged) {
+      // The merge releases a shard's records in safe-time order, which
+      // can permute rank order within the shard (the documented
+      // rank-blocked caveat); the oracle drains shard-locally, so compare
+      // the record sets rank-aligned.
+      auto by_shard_rank = [](const CapturedBatch& a, const CapturedBatch& b) {
+        return a.shard != b.shard ? a.shard < b.shard : a.rank < b.rank;
+      };
+      std::sort(fast.begin(), fast.end(), by_shard_rank);
+      std::sort(slow.begin(), slow.end(), by_shard_rank);
+    }
+    EXPECT_EQ(fast, slow);
+  }
 }
 
 }  // namespace

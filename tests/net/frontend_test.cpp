@@ -1,14 +1,15 @@
 // Wire front-end: the fd stream's blocking contract, the Connection
 // handshake/dispatch state machine (typed error paths, partial-read
 // torture), the frames-in == direct-session-calls-in equivalence
-// (bit-identical emission streams, sequential and threaded engines,
-// deliberately fragmented and coalesced reads), the outbound
+// (bit-identical emission streams, one to three shards and the global
+// merge, deliberately fragmented and coalesced reads), the outbound
 // BatchEmission broadcast, and the adoption check on a stream with no
 // pollable fd.
 #include "net/frontend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <thread>
 #include <variant>
 
@@ -300,12 +301,13 @@ struct ConnectionFixture {
   ClientRegistry registry = make_registry(4);
   ServiceConfig config;
   FairOrderingService service;
+  std::mutex ingest_mutex;
   Connection connection;
 
   explicit ConnectionFixture(ServiceConfig service_config = {})
       : config(service_config),
         service(registry, ids(4), config),
-        connection(registry, service, test_config()) {}
+        connection(registry, service, test_config(), ingest_mutex) {}
 };
 
 TEST(Connection, HandshakeThenMessagesFlow) {
@@ -400,7 +402,8 @@ TEST(Connection, OversizedFrameIsRejected) {
   FairOrderingService service(registry, ids(4), {});
   FrontendConfig config = test_config();
   config.max_frame_bytes = 8;
-  Connection connection(registry, service, config);
+  std::mutex ingest_mutex;
+  Connection connection(registry, service, config, ingest_mutex);
   // The announcement's summary is longer than 8 bytes.
   EXPECT_EQ(Drive::kFailed, connection.drive(announce_frame(1)));
   EXPECT_EQ(connection.error(), WireError::kOversizedFrame);
@@ -444,12 +447,11 @@ TEST(Connection, ChangedReannounceUpdatesASequentialRegistry) {
   EXPECT_EQ(fx.service.pending_count(), 1u);
 }
 
-TEST(Connection, ChangedAnnounceAgainstAThreadedServiceStartsAReconfig) {
+TEST(Connection, ChangedAnnounceStartsAReconfig) {
   ClientRegistry registry = make_registry(4);
-  ServiceConfig config;
-  config.with_worker_threads();
-  FairOrderingService service(registry, ids(4), config);
-  Connection connection(registry, service, test_config());
+  FairOrderingService service(registry, ids(4), {});
+  std::mutex ingest_mutex;
+  Connection connection(registry, service, test_config(), ingest_mutex);
   // Identical announce: fine (generation untouched).
   ASSERT_EQ(Drive::kReady, connection.drive(announce_frame(1)));
   EXPECT_FALSE(service.reconfig_pending());
@@ -463,7 +465,6 @@ TEST(Connection, ChangedAnnounceAgainstAThreadedServiceStartsAReconfig) {
   EXPECT_EQ(connection.error(), WireError::kNone);
   EXPECT_EQ(registry.generation(), 5u);  // the change landed
   ASSERT_EQ(Drive::kReady, connection.drive(message_frame(1, 7, 1.001)));
-  service.quiesce();
   EXPECT_EQ(service.pending_count(), 1u);
   // The epoch catches up (the announce already requested the prime).
   service.reconfigure();
@@ -501,33 +502,25 @@ TEST(FrameFrontend, FramedEqualsDirectSequentialSharded) {
   expect_equivalent(direct, run_framed(workload, config, /*seed=*/17));
 }
 
-TEST(FrameFrontend, FramedEqualsDirectThreaded) {
+TEST(FrameFrontend, FramedEqualsDirectTwoShards) {
   const auto workload = make_workload(6, 30, /*seed=*/23);
   ServiceConfig config;
-  config.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  // The threaded service's per-shard streams are themselves bit-identical
-  // to the sequential ones, so compare against the SEQUENTIAL direct
-  // drive: frames → rings → workers must not change emissions either.
-  ServiceConfig direct_config;
-  direct_config.with_shards(2).with_p_safe(0.99);
-  const auto direct = run_direct(workload, direct_config);
+  config.with_shards(2).with_p_safe(0.99);
+  const auto direct = run_direct(workload, config);
   EXPECT_FALSE(direct.empty());
   for (std::uint64_t seed : {7ULL, 8ULL}) {
     expect_equivalent(direct, run_framed(workload, config, seed));
   }
 }
 
-TEST(FrameFrontend, FramedEqualsDirectThreadedGlobalMerge) {
+TEST(FrameFrontend, FramedEqualsDirectGlobalMerge) {
   const auto workload = make_workload(4, 25, /*seed=*/31);
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(core::DrainPolicy::kGlobalMerge);
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99).with_drain_policy(
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
-  const auto direct = run_direct(workload, sequential);
+  const auto direct = run_direct(workload, config);
   EXPECT_FALSE(direct.empty());
-  expect_equivalent(direct, run_framed(workload, threaded, /*seed=*/41));
+  expect_equivalent(direct, run_framed(workload, config, /*seed=*/41));
 }
 
 // ── Outbound: emissions come back as frames ─────────────────────────────
@@ -616,10 +609,12 @@ TEST(FrameFrontend, BroadcastsEmittedBatchesAsFrames) {
   }
 }
 
-TEST(FrameFrontend, BroadcastsFromAThreadedService) {
+TEST(FrameFrontend, FlushBroadcastsPastASilentClient) {
+  // Client 1 never connects: only the flush's gate-ignoring drain can
+  // emit client 0's messages, and it broadcasts every one of them.
   ClientRegistry registry = make_registry(2);
   ServiceConfig service_config;
-  service_config.with_p_safe(0.99).with_worker_threads();
+  service_config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(2), service_config);
   FrameFrontend frontend(registry, service, test_config());
 

@@ -23,15 +23,15 @@ using core::ClientRegistry;
 using core::FairOrderingService;
 using core::ServiceConfig;
 
-ServiceConfig sequential_config() {
+ServiceConfig one_shard_config() {
   ServiceConfig config;
   config.with_p_safe(0.99);
   return config;
 }
 
-ServiceConfig threaded_config() {
+ServiceConfig two_shard_config() {
   ServiceConfig config;
-  config.with_shards(2).with_p_safe(0.99).with_worker_threads();
+  config.with_shards(2).with_p_safe(0.99);
   return config;
 }
 
@@ -164,17 +164,16 @@ void expect_byte_identical_reannounce_is_idempotent(ServiceConfig config) {
   EXPECT_EQ(registry.generation(), g0);
   EXPECT_FALSE(service.reconfig_pending());
   EXPECT_EQ(service.epoch(), 0u);
-  service.quiesce();
   EXPECT_EQ(service.pending_count(), 2u);
   server.stop();
 }
 
-TEST(WireReconfig, SequentialByteIdenticalReannounceIsIdempotent) {
-  expect_byte_identical_reannounce_is_idempotent(sequential_config());
+TEST(WireReconfig, OneShardByteIdenticalReannounceIsIdempotent) {
+  expect_byte_identical_reannounce_is_idempotent(one_shard_config());
 }
 
-TEST(WireReconfig, ThreadedByteIdenticalReannounceIsIdempotent) {
-  expect_byte_identical_reannounce_is_idempotent(threaded_config());
+TEST(WireReconfig, TwoShardByteIdenticalReannounceIsIdempotent) {
+  expect_byte_identical_reannounce_is_idempotent(two_shard_config());
 }
 
 void expect_mutated_reannounce_reconfigures(ServiceConfig config) {
@@ -215,24 +214,23 @@ void expect_mutated_reannounce_reconfigures(ServiceConfig config) {
     return !service.reconfig_pending();
   }));
   EXPECT_EQ(service.primed_generation(), registry.generation());
-  service.quiesce();
   EXPECT_EQ(service.pending_count(), 2u);
   server.stop();
 }
 
-TEST(WireReconfig, SequentialMutatedReannounceReconfiguresLive) {
-  expect_mutated_reannounce_reconfigures(sequential_config());
+TEST(WireReconfig, OneShardMutatedReannounceReconfiguresLive) {
+  expect_mutated_reannounce_reconfigures(one_shard_config());
 }
 
-TEST(WireReconfig, ThreadedMutatedReannounceReconfiguresLive) {
-  expect_mutated_reannounce_reconfigures(threaded_config());
+TEST(WireReconfig, TwoShardMutatedReannounceReconfiguresLive) {
+  expect_mutated_reannounce_reconfigures(two_shard_config());
 }
 
 // ── Join flow ───────────────────────────────────────────────────────────
 
 TEST(WireReconfig, JoinHandshakeRidesReconfigPendingToAnAck) {
   ClientRegistry registry = make_registry(2);
-  FairOrderingService service(registry, ids(2), threaded_config());
+  FairOrderingService service(registry, ids(2), two_shard_config());
   ServerConfig server_config;
   server_config.frontend = test_frontend_config();
   server_config.frontend.accept_new_clients = true;
@@ -258,14 +256,13 @@ TEST(WireReconfig, JoinHandshakeRidesReconfigPendingToAnAck) {
   ASSERT_TRUE(wire->write_all(bytes));
   wire->close_write();
   server.frontend().join_readers();
-  service.quiesce();
   EXPECT_EQ(service.pending_count(), 1u);
   server.stop();
 }
 
 TEST(WireReconfig, KnownClientHandshakeAcksWithoutAReconfigRound) {
   ClientRegistry registry = make_registry(2);
-  FairOrderingService service(registry, ids(2), sequential_config());
+  FairOrderingService service(registry, ids(2), one_shard_config());
   ServerConfig server_config;
   server_config.frontend = test_frontend_config();
   server_config.frontend.accept_new_clients = true;
@@ -289,7 +286,7 @@ TEST(WireReconfig, KnownClientHandshakeAcksWithoutAReconfigRound) {
 
 TEST(WireReconfig, TornJoinAnnounceLeavesTheServiceUntouched) {
   ClientRegistry registry = make_registry(2);
-  FairOrderingService service(registry, ids(2), threaded_config());
+  FairOrderingService service(registry, ids(2), two_shard_config());
   ServerConfig server_config;
   server_config.frontend = test_frontend_config();
   server_config.frontend.accept_new_clients = true;

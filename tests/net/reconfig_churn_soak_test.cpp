@@ -1,12 +1,12 @@
 // The tentpole proof for live reconfiguration: a real listening server
 // under phased client churn — three clients stream phase A, then at a
-// quiesced boundary one re-announces a mutated summary (epoch swap), one
+// drained boundary one re-announces a mutated summary (epoch swap), one
 // departs (EOF → retirement from the completeness gate), and a brand-new
 // client joins through the ReconfigPending → re-announce → HandshakeAck
 // flow — and phase B streams over the SAME surviving connections, no
 // restart anywhere. The emission stream, segmented per poll, must be
-// bit-identical to a sequential oracle performing the same reconfigs at
-// the same boundaries, gap-free in ranks, and arrival-monotone.
+// bit-identical to a direct-drive oracle performing the same reconfigs
+// at the same boundaries, gap-free in ranks, and arrival-monotone.
 //
 // SOAK_ITERS (env) repeats each scenario with fresh seeds.
 #include <gtest/gtest.h>
@@ -218,19 +218,18 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
   stream_phase({0u, 1u, 2u}, w.phase_a, /*announce_first=*/true);
   EXPECT_EQ(write_failures.load(), 0);
 
-  // Barrier: every phase A frame decoded and dispatched, rings drained.
+  // Barrier: every phase A frame decoded and applied.
   const PhaseTotals a = count(w.phase_a);
   EXPECT_TRUE(eventually([&server, &a] {
     const FrontendTotals t = server.frontend().totals();
     return t.submits_in == a.submits && t.heartbeats_in == a.heartbeats;
   }));
-  service.quiesce();
   Segments segments;
   SegmentSink boundary_poll;
   {
     // Boundary drains go through the front-end, not the service: the
-    // pollers are live, and in sequential configs the front-end's
-    // ingest lock is the only thing serializing them against a poll.
+    // pollers are live, and the front-end's ingest lock is the only
+    // thing serializing them against a poll.
     auto fn = boundary_poll.sink();
     core::CallbackSink<decltype(fn)> sink(fn);
     server.frontend().pump(TimePoint(1.05), PumpOptions{.sink = &sink});
@@ -258,12 +257,11 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
   EXPECT_EQ(join, HandshakeResult::kAccepted);
   // (4) drive any residual swap to completion before phase B flows —
   // via the front-end so the swap holds the ingest lock that live
-  // pollers contend on (sequential configs).
+  // pollers contend on.
   server.frontend().reconfigure();
   EXPECT_FALSE(service.reconfig_pending());
   EXPECT_EQ(service.primed_generation(), registry.generation());
   EXPECT_GE(service.epoch(), 1u);
-  service.quiesce();
 
   // Phase B: the survivors and the joiner stream on their connections.
   stream_phase({0u, 2u, kJoiner}, w.phase_b, /*announce_first=*/false);
@@ -274,7 +272,6 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
     return t.submits_in == a.submits + b.submits
            && t.heartbeats_in == a.heartbeats + b.heartbeats;
   }));
-  service.quiesce();
   SegmentSink after_b;
   {
     auto fn = after_b.sink();
@@ -288,7 +285,6 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
   // may hit the service directly.)
   for (std::uint32_t c : {0u, 2u, kJoiner}) wires[c]->close_write();
   server.frontend().join_readers();
-  service.quiesce();
   SegmentSink tail;
   {
     auto sink = tail.sink();
@@ -301,7 +297,7 @@ Segments run_churned(ServiceConfig config, const ChurnWorkload& w,
   return segments;
 }
 
-// ── The sequential oracle ───────────────────────────────────────────────
+// ── The direct-drive oracle ─────────────────────────────────────────────
 
 /// Direct session calls performing the exact same announces, retirement,
 /// join, and reconfigure at the exact same boundaries.
@@ -330,7 +326,6 @@ Segments run_oracle(ServiceConfig config, const ChurnWorkload& w) {
   };
 
   for (std::uint32_t c : {0u, 1u, 2u}) feed(c, w.phase_a[c]);
-  service.quiesce();
   Segments segments;
   SegmentSink boundary_poll;
   {
@@ -345,10 +340,8 @@ Segments run_oracle(ServiceConfig config, const ChurnWorkload& w) {
   service.expect_client(ClientId(kJoiner));
   service.reconfigure();
   sessions[kJoiner] = service.open_session(ClientId(kJoiner));
-  service.quiesce();
 
   for (std::uint32_t c : {0u, 2u, kJoiner}) feed(c, w.phase_b[c]);
-  service.quiesce();
   SegmentSink after_b;
   {
     auto sink = after_b.sink();
@@ -359,7 +352,6 @@ Segments run_oracle(ServiceConfig config, const ChurnWorkload& w) {
   for (std::uint32_t c : {0u, 2u, kJoiner}) {
     service.close_session(*sessions[c]);
   }
-  service.quiesce();
   SegmentSink tail;
   {
     auto sink = tail.sink();
@@ -373,12 +365,11 @@ Segments run_oracle(ServiceConfig config, const ChurnWorkload& w) {
 
 // ── The acceptance criterion ────────────────────────────────────────────
 
-void churn_equivalence(ServiceConfig wire_config,
-                       ServiceConfig oracle_config, bool use_tcp,
+void churn_equivalence(ServiceConfig config, bool use_tcp,
                        std::uint64_t seed) {
   const ChurnWorkload w = make_churn_workload(seed);
-  const Segments oracle = run_oracle(oracle_config, w);
-  const Segments churned = run_churned(wire_config, w, use_tcp);
+  const Segments oracle = run_oracle(config, w);
+  const Segments churned = run_churned(config, w, use_tcp);
 
   ASSERT_EQ(oracle.size(), churned.size());
   for (std::size_t s = 0; s < oracle.size(); ++s) {
@@ -392,7 +383,7 @@ void churn_equivalence(ServiceConfig wire_config,
   const auto all = flatten(churned);
   ASSERT_FALSE(all.empty());
   expect_sane_emissions(
-      all, wire_config.drain_policy == core::DrainPolicy::kGlobalMerge);
+      all, config.drain_policy == core::DrainPolicy::kGlobalMerge);
 
   // Retirement visibility: the poll after phase B emits phase-B stamps —
   // impossible if the departed client still pinned the gate at its last
@@ -411,47 +402,39 @@ void churn_equivalence(ServiceConfig wire_config,
   EXPECT_EQ(messages, 60u);
 }
 
-TEST(ReconfigChurnSoak, ThreadedGlobalMergeMatchesTheOracleOverUnix) {
-  ServiceConfig wire;
-  wire.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(core::DrainPolicy::kGlobalMerge);
-  ServiceConfig oracle;
-  oracle.with_shards(2).with_p_safe(0.99).with_drain_policy(
+TEST(ReconfigChurnSoak, TwoShardGlobalMergeMatchesTheOracleOverUnix) {
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
   for (int iter = 0; iter < soak_iterations(); ++iter) {
-    churn_equivalence(wire, oracle, /*use_tcp=*/false,
+    churn_equivalence(config, /*use_tcp=*/false,
                       /*seed=*/21 + static_cast<std::uint64_t>(iter));
   }
 }
 
-TEST(ReconfigChurnSoak, ThreadedShardLocalMatchesTheOracleOverUnix) {
-  ServiceConfig wire;
-  wire.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  ServiceConfig oracle;
-  oracle.with_shards(2).with_p_safe(0.99);
+TEST(ReconfigChurnSoak, TwoShardShardLocalMatchesTheOracleOverUnix) {
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99);
   for (int iter = 0; iter < soak_iterations(); ++iter) {
-    churn_equivalence(wire, oracle, /*use_tcp=*/false,
+    churn_equivalence(config, /*use_tcp=*/false,
                       /*seed=*/37 + static_cast<std::uint64_t>(iter));
   }
 }
 
-TEST(ReconfigChurnSoak, SequentialMatchesTheOracleOverUnix) {
+TEST(ReconfigChurnSoak, OneShardMatchesTheOracleOverUnix) {
   ServiceConfig config;
   config.with_p_safe(0.99);
   for (int iter = 0; iter < soak_iterations(); ++iter) {
-    churn_equivalence(config, config, /*use_tcp=*/false,
+    churn_equivalence(config, /*use_tcp=*/false,
                       /*seed=*/53 + static_cast<std::uint64_t>(iter));
   }
 }
 
-TEST(ReconfigChurnSoak, ThreadedGlobalMergeMatchesTheOracleOverTcp) {
-  ServiceConfig wire;
-  wire.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(core::DrainPolicy::kGlobalMerge);
-  ServiceConfig oracle;
-  oracle.with_shards(2).with_p_safe(0.99).with_drain_policy(
+TEST(ReconfigChurnSoak, TwoShardGlobalMergeMatchesTheOracleOverTcp) {
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
-  churn_equivalence(wire, oracle, /*use_tcp=*/true, /*seed=*/71);
+  churn_equivalence(config, /*use_tcp=*/true, /*seed=*/71);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // mid-frame disconnects at chosen byte offsets, torn handshakes),
 // disconnect and reconnect to resume — and the service's emission stream
 // is bit-identical to the same workload driven through direct session
-// calls, in sequential, sharded, threaded, and global-merge
+// calls, in one-, two- and three-shard and global-merge
 // configurations, over Unix and TCP sockets, with the front-end's M
 // poller threads multiplexing every connection (and a tiny submit-batch
 // limit that keeps the ingest stall paths busy). The probabilistic
@@ -177,14 +177,13 @@ SoakOutcome run_soaked(const std::vector<std::vector<Event>>& workload,
 }
 
 /// The acceptance criterion, parameterized over service configs.
-void soak_equivalence(ServiceConfig soak_config,
-                      ServiceConfig direct_config, SoakOptions options,
+void soak_equivalence(ServiceConfig config, SoakOptions options,
                       std::uint32_t clients = 4, int per_client = 30) {
   const auto workload =
       make_workload(clients, per_client, /*seed=*/options.seed + 1000);
-  const auto direct = run_direct(workload, direct_config);
+  const auto direct = run_direct(workload, config);
   ASSERT_FALSE(direct.empty());
-  const SoakOutcome outcome = run_soaked(workload, soak_config, options);
+  const SoakOutcome outcome = run_soaked(workload, config, options);
   // The soak actually soaked: reconnect episodes and deliberate cuts.
   EXPECT_GT(outcome.episodes,
             static_cast<std::uint64_t>(clients));
@@ -198,7 +197,7 @@ TEST(SoakOverUnixSockets, SequentialEmissionsSurviveDisconnectsBitForBit) {
   for (std::uint64_t seed : {1ULL, 2ULL, 21ULL, 22ULL}) {
     SoakOptions options;
     options.seed = seed;
-    soak_equivalence(config, config, options);
+    soak_equivalence(config, options);
   }
 }
 
@@ -207,36 +206,31 @@ TEST(SoakOverUnixSockets, SequentialShardedEmissionsSurvive) {
   config.with_shards(3).with_p_safe(0.99);
   SoakOptions options;
   options.seed = 5;
-  soak_equivalence(config, config, options, /*clients=*/6);
+  soak_equivalence(config, options, /*clients=*/6);
   // One poller per shard.
   options.seed = 25;
   options.poller_threads = 3;
-  soak_equivalence(config, config, options, /*clients=*/6);
+  soak_equivalence(config, options, /*clients=*/6);
 }
 
-TEST(SoakOverUnixSockets, ThreadedEmissionsSurviveDisconnectsBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99);
+TEST(SoakOverUnixSockets, TwoShardEmissionsSurviveDisconnectsBitForBit) {
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99);
   for (std::uint64_t seed : {7ULL, 27ULL}) {
     SoakOptions options;
     options.seed = seed;
-    soak_equivalence(threaded, sequential, options);
+    soak_equivalence(config, options);
   }
 }
 
 TEST(SoakOverUnixSockets, GlobalMergeEmissionsSurviveDisconnectsBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(core::DrainPolicy::kGlobalMerge);
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99).with_drain_policy(
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
   for (std::uint64_t seed : {11ULL, 31ULL}) {
     SoakOptions options;
     options.seed = seed;
-    soak_equivalence(threaded, sequential, options);
+    soak_equivalence(config, options);
   }
 }
 
@@ -248,7 +242,7 @@ TEST(SoakOverUnixSockets, TinySubmitBatchLimitStillBitIdentical) {
   SoakOptions options;
   options.seed = 33;
   options.submit_batch_limit = 2;
-  soak_equivalence(config, config, options);
+  soak_equivalence(config, options);
 }
 
 TEST(SoakOverTcp, SequentialEmissionsSurviveDisconnectsBitForBit) {
@@ -258,19 +252,17 @@ TEST(SoakOverTcp, SequentialEmissionsSurviveDisconnectsBitForBit) {
     SoakOptions options;
     options.seed = seed;
     options.use_tcp = true;
-    soak_equivalence(config, config, options);
+    soak_equivalence(config, options);
   }
 }
 
-TEST(SoakOverTcp, ThreadedEmissionsSurviveDisconnectsBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99);
+TEST(SoakOverTcp, TwoShardEmissionsSurviveDisconnectsBitForBit) {
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99);
   SoakOptions options;
   options.seed = 41;
   options.use_tcp = true;
-  soak_equivalence(threaded, sequential, options);
+  soak_equivalence(config, options);
 }
 
 /// Churn through the real acceptor: the server-side connection table

@@ -187,44 +187,5 @@ TEST(ScoreSequencer, PerfectClocksWideGapsScoreOne) {
   EXPECT_EQ(score.sequencer, "tommy");
 }
 
-TEST(OnlineRunner, WorkerThreadsMatchSequentialRun) {
-  // The discrete-event loop is a single producer, so the threaded
-  // service's synchronous polls make the whole run deterministic: same
-  // emissions, same scores, same violation counts as the sequential
-  // engine.
-  Rng pop_rng(21);
-  const Population pop = gaussian_population(8, 40e-6, pop_rng);
-  const auto events = poisson_workload(pop.ids(), 400, 20_us, pop_rng);
-
-  auto run = [&](bool worker_threads) {
-    OnlineRunConfig config;
-    config.sequencer.p_safe = 0.995;
-    config.shard_count = 2;
-    config.worker_threads = worker_threads;
-    Rng run_rng(77);  // same network/clock randomness for both runs
-    return run_online(pop, events, config, run_rng);
-  };
-  const OnlineRunResult sequential = run(false);
-  const OnlineRunResult threaded = run(true);
-
-  EXPECT_GT(sequential.emitted_messages, 0u);
-  ASSERT_EQ(threaded.emissions.size(), sequential.emissions.size());
-  for (std::size_t r = 0; r < threaded.emissions.size(); ++r) {
-    EXPECT_EQ(threaded.emission_shards[r], sequential.emission_shards[r]);
-    EXPECT_EQ(threaded.emissions[r].batch.rank,
-              sequential.emissions[r].batch.rank);
-    ASSERT_EQ(threaded.emissions[r].batch.messages.size(),
-              sequential.emissions[r].batch.messages.size());
-    for (std::size_t m = 0; m < threaded.emissions[r].batch.messages.size();
-         ++m) {
-      EXPECT_EQ(threaded.emissions[r].batch.messages[m],
-                sequential.emissions[r].batch.messages[m]);
-    }
-  }
-  EXPECT_EQ(threaded.fairness_violations, sequential.fairness_violations);
-  EXPECT_EQ(threaded.emitted_messages, sequential.emitted_messages);
-  EXPECT_EQ(threaded.unemitted_messages, sequential.unemitted_messages);
-}
-
 }  // namespace
 }  // namespace tommy::sim
